@@ -10,7 +10,6 @@ two-photon-loss rates from the steady-state Duffing response.
 __version__ = "0.1.0"
 
 from .calibration import (
-    DriveCalibration,
     dbm_to_watts,
     input_photon_flux,
     mean_photon_number,
@@ -27,7 +26,6 @@ from .duffing import (
     photon_numbers,
     seed_nonlinear_guess,
     selected_photon_numbers,
-    solve_photon_number,
 )
 from .errors import (
     BifurcationUnstableError,
@@ -44,7 +42,6 @@ from .errors import (
     NonMonotoneFrequencyError,
     NoResonanceError,
     ParameterError,
-    SegmentationMismatchError,
     SingularJacobianError,
     TraceParseError,
     UnsupportedFormatError,
@@ -53,7 +50,6 @@ from .linearfit import (
     FitReport,
     estimate_initial,
     fit_linear,
-    segment_resonances,
 )
 from .model import (
     FrequencyTrace,

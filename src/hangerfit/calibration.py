@@ -15,36 +15,16 @@ which pins the photon-flux normalization ``|a_in|^2 = P_in/(h*f_r)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import HBAR, PLANCK, TWO_PI
 from .errors import ParameterError
 from .model import LinearParams
 
 __all__ = [
-    "DriveCalibration",
     "dbm_to_watts",
     "input_photon_flux",
     "mean_photon_number",
 ]
-
-
-@dataclass(frozen=True)
-class DriveCalibration:
-    """Instrument power and the attenuation chain down to the device."""
-
-    attenuation: float       # dB, >= 0
-    instrument_power: float  # dBm
-
-    def __post_init__(self):
-        if not (math.isfinite(self.attenuation) and self.attenuation >= 0):
-            raise ParameterError("attenuation must be finite and >= 0")
-        if not math.isfinite(self.instrument_power):
-            raise ParameterError("instrument_power must be finite")
-
-    @property
-    def on_chip_power_w(self) -> float:
-        return dbm_to_watts(self.instrument_power - self.attenuation)
 
 
 def dbm_to_watts(power_dbm: float) -> float:

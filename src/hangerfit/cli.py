@@ -7,18 +7,21 @@ fit-sweep    power sweep -> per-power linear fits -> TLS model fit
 extract-kerr power sweep -> per-power nonlinear fits -> slope extraction
 simulate     generate a synthetic sweep campaign from a JSON config
 
-Exit codes: 0 success, 2 input/config error, 3 analysis failure.
-Reports are written atomically (temp file + rename), never partially.
+Exit codes: 0 success, 2 input/config error, 3 analysis failure.  The
+sweep commands fit the powers one after another in manifest order; a
+failure at one power keeps its error class (and so its exit code) and its
+message names the power.  Reports are written atomically (temp file +
+rename), never partially.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from .duffing import (
     ellipticity_metric,
     extract_kerr_two_photon,
     fit_nonlinear,
-    normalized_drive_params,
     seed_nonlinear_guess,
 )
 from .errors import (
@@ -56,8 +58,6 @@ from .traceio import (
 )
 
 __all__ = ["main"]
-
-_MAX_WORKERS = 8
 
 # Powers are flagged nonlinear and excluded from the TLS fit when either
 # holds; both numbers are recorded in the report.
@@ -101,29 +101,35 @@ def cmd_fit_linear(args) -> int:
     return 0
 
 
-def _sweep_linear_fit(manifest: SweepManifest, index: int):
-    path, power_dbm = manifest.entries[index]
-    trace = parse_csv_trace(path)
-    report = fit_linear(trace)
-    power_w = dbm_to_watts(power_dbm - manifest.attenuation)
-    n_bar = mean_photon_number(power_w, report.params)
-    return trace, report, n_bar
+@contextlib.contextmanager
+def _at_power(power_dbm: float):
+    """Prefix the drive power to the message of a per-power failure.
+
+    The error keeps its class, so ``main`` still maps it to its own exit
+    code and names it.  OSError formats its message from its own fields,
+    so it is re-raised as a fresh instance of the same class.
+    """
+    prefix = f"power {power_dbm:g} dBm failed: "
+    try:
+        yield
+    except OSError as exc:
+        raise type(exc)(f"{prefix}{exc}") from exc
+    except HangerFitError as exc:
+        exc.args = (f"{prefix}{exc}",)
+        raise
 
 
 def cmd_fit_sweep(args) -> int:
     manifest = parse_manifest(args.manifest)
-    n_powers = len(manifest.entries)
     include_two_photon = args.model == "tls+2photon"
 
-    def fit_one(index):
-        try:
-            return _sweep_linear_fit(manifest, index)
-        except (HangerFitError, OSError) as exc:
-            power = manifest.entries[index][1]
-            raise HangerFitError(f"power {power:g} dBm failed: {exc}") from exc
-
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, n_powers)) as pool:
-        fitted = list(pool.map(fit_one, range(n_powers)))
+    fitted = []
+    for path, power_dbm in manifest.entries:
+        with _at_power(power_dbm):
+            trace = parse_csv_trace(path)
+            report = fit_linear(trace)
+            power_w = dbm_to_watts(power_dbm - manifest.attenuation)
+            fitted.append((trace, report, mean_photon_number(power_w, report.params)))
 
     # Lowest power anchors the environment and the nonlinearity baseline.
     base_trace, base_report, _ = fitted[0]
@@ -208,30 +214,21 @@ def _report_with_details(report: FitReport, extra: dict) -> FitReport:
 
 def cmd_extract_kerr(args) -> int:
     manifest = parse_manifest(args.manifest)
-    policy = BranchPolicy.coerce(args.policy)
-    n_powers = len(manifest.entries)
+    policy = BranchPolicy.coerce(args.policy or BranchPolicy.SWEEP_UP)
 
     base_path, _ = manifest.entries[0]
     base_trace = parse_csv_trace(base_path)
     base_linear: LinearParams = fit_linear(base_trace).params
 
-    def fit_one(index):
-        path, power_dbm = manifest.entries[index]
-        try:
+    fits = []
+    for path, power_dbm in manifest.entries:
+        with _at_power(power_dbm):
             trace = parse_csv_trace(path)
             flux = input_photon_flux(dbm_to_watts(power_dbm - manifest.attenuation),
                                      base_linear.resonant_freq)
             guess = seed_nonlinear_guess(trace, base_linear, flux)
-            report = fit_nonlinear(trace, guess, policy)
-            return report, report.details["max_photon_number"]
-        except (HangerFitError, OSError) as exc:
-            raise HangerFitError(f"power {power_dbm:g} dBm failed: {exc}") from exc
-
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, n_powers)) as pool:
-        results = list(pool.map(fit_one, range(n_powers)))
-
-    fits = [report for report, _ in results]
-    photon_numbers = [n for _, n in results]
+            fits.append(fit_nonlinear(trace, guess, policy))
+    photon_numbers = [fit.details["max_photon_number"] for fit in fits]
     if all("low_snr" in fit.diagnostics for fit in fits):
         raise LowSignalError(
             "nonlinear rates unresolved at every power (low sensitivity); "
@@ -366,7 +363,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     if args.policy is not None:
-        config["branch_policy"] = args.policy
+        config["branch_policy"] = args.policy.replace("-", "_")
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
@@ -408,21 +405,20 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="report output path")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the generator seed (simulate only)")
-    common.add_argument("--policy", default=None,
-                        choices=["low", "high", "sweep-up", "sweep-down"],
-                        help="photon-number branch policy")
-    common.add_argument("--verbose", action="store_true", help="per-step progress")
+    # Each flag is attached only to the commands that read it.
+    out_flag = argparse.ArgumentParser(add_help=False)
+    out_flag.add_argument("--out", default=None, help="report output path")
+    policy_flag = argparse.ArgumentParser(add_help=False)
+    policy_flag.add_argument("--policy", default=None,
+                             choices=["low", "high", "sweep-up", "sweep-down"],
+                             help="photon-number branch policy")
 
     parser = argparse.ArgumentParser(
         prog="hangerfit",
         description="Loss and nonlinearity analysis for hanger-type resonators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit-linear", parents=[common],
+    p_fit = sub.add_parser("fit-linear", parents=[out_flag],
                            help="fit the linear model to one trace")
     p_fit.add_argument("trace", help="CSV trace (or .s2p) path")
     p_fit.add_argument("--window", type=float, default=10.0,
@@ -430,39 +426,37 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 disables windowing; default 10)")
     p_fit.set_defaults(func=cmd_fit_linear)
 
-    p_sweep = sub.add_parser("fit-sweep", parents=[common],
+    p_sweep = sub.add_parser("fit-sweep", parents=[out_flag],
                              help="TLS fit of a power sweep")
     p_sweep.add_argument("manifest", help="sweep manifest JSON path")
     p_sweep.add_argument("--model", choices=["tls", "tls+2photon"], default="tls")
     p_sweep.add_argument("--exclude-nonlinear-powers", action="store_true",
                          help="drop powers with Duffing tilt or elliptic IQ traces")
     p_sweep.add_argument("--plot-table", default=None, help="qi_vs_n CSV path")
+    p_sweep.add_argument("--verbose", action="store_true", help="per-power progress")
     p_sweep.set_defaults(func=cmd_fit_sweep)
 
-    p_kerr = sub.add_parser("extract-kerr", parents=[common],
+    p_kerr = sub.add_parser("extract-kerr", parents=[out_flag, policy_flag],
                             help="extract Kerr and two-photon rates from a sweep")
     p_kerr.add_argument("manifest", help="sweep manifest JSON path")
     p_kerr.add_argument("--plot-table", default=None, help="kerr_slope CSV path")
     p_kerr.set_defaults(func=cmd_extract_kerr)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[policy_flag],
                            help="synthesize a sweep campaign from a config")
     p_sim.add_argument("config", help="JSON config path")
     p_sim.add_argument("out_dir", help="output directory for traces + manifest")
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="override the generator seed")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.policy is not None:
-        args.policy = args.policy.replace("-", "_")
-    elif args.command == "extract-kerr":
-        args.policy = BranchPolicy.SWEEP_UP
     try:
         return args.func(args)
-    except (TraceParseError, ConfigError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
+    except (TraceParseError, ConfigError, OSError) as exc:
         print(f"hangerfit: input error: {exc}", file=sys.stderr)
         return 2
     except HangerFitError as exc:

@@ -48,7 +48,7 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
 )
-from .linearfit import FitReport, covariance_matrix
+from .linearfit import FitReport, _noise_sigma, _wing_indices, covariance_matrix
 from .model import (
     FrequencyTrace,
     LinearParams,
@@ -62,7 +62,6 @@ from .model import (
 __all__ = [
     "BranchPolicy",
     "normalized_drive_params",
-    "solve_photon_number",
     "selected_photon_numbers",
     "eval_nonlinear_s21",
     "photon_numbers",
@@ -207,30 +206,6 @@ def positive_cubic_roots(xi: float, eta: float, dtilde) -> tuple[np.ndarray, np.
             "photon-number cubic returned no positive root; this should be "
             "impossible for eta >= 0")
     return candidates, counts
-
-
-def solve_photon_number(xi: float, eta: float, dtilde: float,
-                        policy: BranchPolicy | str = BranchPolicy.LOW,
-                        prev_root: float | None = None) -> tuple[float, np.ndarray]:
-    """Solve the cubic at one detuning and select a root per policy.
-
-    Returns ``(selected, all_positive_roots)`` with roots in ascending
-    order.  For sweep policies with no ``prev_root`` the starting branch is
-    the low root (``sweep_up``) or the high root (``sweep_down``);
-    otherwise the root closest to ``prev_root`` continues the branch.
-    """
-    policy = BranchPolicy.coerce(policy)
-    roots_padded, counts = positive_cubic_roots(xi, eta, [dtilde])
-    roots = roots_padded[0, :counts[0]]
-    if policy is BranchPolicy.LOW:
-        selected = roots[0]
-    elif policy is BranchPolicy.HIGH:
-        selected = roots[-1]
-    elif prev_root is None:
-        selected = roots[0] if policy is BranchPolicy.SWEEP_UP else roots[-1]
-    else:
-        selected = roots[int(np.argmin(np.abs(roots - prev_root)))]
-    return float(selected), roots
 
 
 def selected_photon_numbers(xi: float, eta: float, dtilde,
@@ -558,11 +533,7 @@ def ellipticity_metric(trace: FrequencyTrace, linear_fit: LinearParams) -> float
     z = trace.s21 / env
     center, radius = fit_circle(z)
 
-    n = z.size
-    k = max(3, int(round(0.10 * n)))
-    wings = np.concatenate([np.arange(k), np.arange(n - k, n)])
-    wing_mag = np.abs(z[wings])
-    sigma = 1.4826 * float(np.median(np.abs(wing_mag - np.median(wing_mag))))
+    sigma = _noise_sigma(np.abs(z), _wing_indices(z.size))
     if sigma > 0 and radius < 5.0 * sigma:
         raise LowSignalError(
             f"circle radius {radius:.3g} below noise floor {5.0 * sigma:.3g}")

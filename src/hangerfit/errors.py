@@ -28,19 +28,6 @@ class NonConvergenceError(HangerFitError):
     """An iterative fit failed to converge."""
 
 
-class SegmentationMismatchError(HangerFitError):
-    """Number of detected resonances differs from the expected count."""
-
-    def __init__(self, expected: int, found_centers_hz: list[float]):
-        self.expected = expected
-        self.found_centers_hz = list(found_centers_hz)
-        centers = ", ".join(f"{c:.6g}" for c in self.found_centers_hz) or "none"
-        super().__init__(
-            f"expected {expected} resonance(s), found "
-            f"{len(self.found_centers_hz)} at [{centers}] Hz"
-        )
-
-
 class InsufficientSpanError(HangerFitError):
     """Power sweep covers too few points or too small a photon-number span."""
 

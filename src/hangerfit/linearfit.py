@@ -1,12 +1,12 @@
-"""Linear line-shape fitting: initial estimation, least squares, segmentation.
+"""Linear line-shape fitting: initial estimation and least squares.
 
 The fit minimizes the stacked real/imaginary residuals of the model in
 :mod:`hangerfit.model` with a damped (trust-region) least-squares solver
 and a finite-difference Jacobian.  Standard errors come from the Jacobian
 covariance scaled by the residual variance.
 
-The fit window is the trace as given; carving windows out of a wideband
-scan is a separate, explicit step (:func:`segment_resonances`).
+The fit window is the trace as given; narrowing it to the dip is the
+caller's step (``hangerfit fit-linear --window``).
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 
 from .constants import TWO_PI
 from .errors import (
     NoResonanceError,
     ParameterError,
-    SegmentationMismatchError,
     SingularJacobianError,
 )
 from .model import (
@@ -38,7 +36,6 @@ __all__ = [
     "FitReport",
     "estimate_initial",
     "fit_linear",
-    "segment_resonances",
     "covariance_std_errors",
 ]
 
@@ -330,80 +327,3 @@ def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None,
                      n_points=n, converged=converged, diagnostics=frozenset(diagnostics),
                      details=details)
 
-
-def segment_resonances(wideband: FrequencyTrace, expected: int | None = None,
-                       window_linewidths: float = 10.0) -> list[FrequencyTrace]:
-    """Split a wideband scan into per-resonance windows.
-
-    Dips are detected on |S21| with a prominence threshold of 5 sigma of
-    the point-to-point noise (at least 2% of the baseline); each window
-    spans ``window_linewidths`` estimated linewidths centered on the dip.
-    Overlapping windows are merged and their labels flagged.  Windows are
-    returned in ascending frequency order.
-
-    Raises
-    ------
-    SegmentationMismatchError
-        If ``expected`` is given and the number of detected dips differs.
-    """
-    mag = np.abs(wideband.s21)
-    n = mag.size
-    baseline = float(np.median(mag))
-    # Successive differences are immune to the slow dip structure.
-    sigma = 1.4826 * float(np.median(np.abs(np.diff(mag)))) / math.sqrt(2.0)
-    prominence = max(5.0 * sigma, 0.02 * baseline)
-
-    peaks, properties = find_peaks(-mag, prominence=prominence)
-    centers = [float(wideband.freqs[i]) for i in peaks]
-    if expected is not None and len(peaks) != expected:
-        raise SegmentationMismatchError(expected, centers)
-    if len(peaks) == 0:
-        return []
-
-    step = float(np.min(np.diff(wideband.freqs)))
-    min_width = 3.0 * step
-
-    # Full width at half depth of |S21|^2 estimates the loaded linewidth.
-    power = mag**2
-    def half_power_width(peak_idx):
-        threshold = 0.5 * (power[peak_idx] + baseline**2)
-        lo = peak_idx
-        while lo > 0 and power[lo - 1] <= threshold:
-            lo -= 1
-        hi = peak_idx
-        while hi < n - 1 and power[hi + 1] <= threshold:
-            hi += 1
-        return float(wideband.freqs[hi] - wideband.freqs[lo])
-
-    # Deepest dips claim their windows first.
-    order = np.argsort(-properties["prominences"])
-    intervals = []
-    for k in order:
-        center = wideband.freqs[peaks[k]]
-        width = max(half_power_width(peaks[k]), min_width)
-        half_span = 0.5 * window_linewidths * width
-        intervals.append([center - half_span, center + half_span, False])
-
-    intervals.sort(key=lambda iv: iv[0])
-    merged: list[list] = []
-    for iv in intervals:
-        if merged and iv[0] <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], iv[1])
-            merged[-1][2] = True
-        else:
-            merged.append(iv)
-
-    windows = []
-    for k, (f_lo, f_hi, was_merged) in enumerate(merged):
-        sel = (wideband.freqs >= f_lo) & (wideband.freqs <= f_hi)
-        idx = np.nonzero(sel)[0]
-        if idx.size < 8:
-            mid = int(np.clip(np.searchsorted(wideband.freqs, 0.5 * (f_lo + f_hi)), 4, n - 4))
-            idx = np.arange(mid - 4, mid + 4)
-        label = f"{wideband.label}/window{k}" + ("+merged" if was_merged else "")
-        windows.append(FrequencyTrace(
-            freqs=wideband.freqs[idx], s21=wideband.s21[idx],
-            instrument_power=wideband.instrument_power,
-            attenuation=wideband.attenuation,
-            temperature=wideband.temperature, label=label))
-    return windows

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hangerfit import (
-    DriveCalibration,
     LinearParams,
     NonlinearParams,
     dbm_to_watts,
@@ -21,8 +20,8 @@ def test_dbm_definition():
 
 
 def test_attenuation_chain_74_db():
-    calibration = DriveCalibration(attenuation=74.0, instrument_power=0.0)
-    assert calibration.on_chip_power_w == pytest.approx(3.981e-11, rel=1e-3)
+    # 0 dBm at the instrument through 74 dB of attenuation.
+    assert dbm_to_watts(0.0 - 74.0) == pytest.approx(3.981e-11, rel=1e-3)
 
 
 def test_flux_zero_power():

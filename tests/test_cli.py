@@ -2,11 +2,23 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hangerfit import LinearParams, linewidth_grid, read_report, synthesize_linear, write_csv_trace
+import hangerfit
+from hangerfit import (
+    LinearParams,
+    linewidth_grid,
+    parse_manifest,
+    read_report,
+    synthesize_linear,
+    write_csv_trace,
+)
 from hangerfit.cli import main
 
 
@@ -86,6 +98,12 @@ def simulate(tmp_path, config, subdir="campaign"):
     return out_dir / "manifest.json", out_dir
 
 
+def third_power(manifest_path):
+    """Trace path of the third sweep power and how errors name that power."""
+    path, power_dbm = parse_manifest(manifest_path).entries[2]
+    return path, f"power {power_dbm:g} dBm"
+
+
 class TestFitLinearCommand:
     def test_success_writes_report_and_summary(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"
@@ -109,6 +127,13 @@ class TestFitLinearCommand:
         write_flat_trace(trace_path)
         assert run(["fit-linear", trace_path]) == 3
         assert "NoResonance" in capsys.readouterr().err
+
+    def test_flag_of_another_command_rejected(self, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        write_single_trace(trace_path)
+        with pytest.raises(SystemExit) as excinfo:
+            run(["fit-linear", trace_path, "--seed", 3])
+        assert excinfo.value.code == 2
 
 
 class TestSimulateCommand:
@@ -185,6 +210,24 @@ class TestFitSweepCommand:
         assert run(["fit-sweep", manifest_path]) == 3
         assert "InsufficientSpan" in capsys.readouterr().err
 
+    def test_missing_trace_is_input_error_naming_power(self, tmp_path, capsys):
+        manifest_path, _ = simulate(tmp_path, TLS_CONFIG)
+        path, power = third_power(manifest_path)
+        os.remove(path)
+        assert run(["fit-sweep", manifest_path]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err
+        assert power in err
+
+    def test_flat_trace_keeps_its_error_class(self, tmp_path, capsys):
+        manifest_path, _ = simulate(tmp_path, TLS_CONFIG)
+        path, power = third_power(manifest_path)
+        write_flat_trace(pathlib.Path(path))
+        assert run(["fit-sweep", manifest_path]) == 3
+        err = capsys.readouterr().err
+        assert "NoResonanceError" in err
+        assert power in err
+
 
 class TestExtractKerrCommand:
     def test_round_trip(self, tmp_path):
@@ -206,6 +249,15 @@ class TestExtractKerrCommand:
         manifest_path, _ = simulate(tmp_path, config)
         assert run(["extract-kerr", manifest_path]) == 3
         assert "Insufficient" in capsys.readouterr().err
+
+    def test_missing_trace_is_input_error_naming_power(self, tmp_path, capsys):
+        manifest_path, _ = simulate(tmp_path, KERR_CONFIG)
+        path, power = third_power(manifest_path)
+        os.remove(path)
+        assert run(["extract-kerr", manifest_path]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err
+        assert power in err
 
     def test_all_linear_sweep_is_analysis_error(self, tmp_path, capsys):
         config = dict(KERR_CONFIG, kerr_hz=0.0, two_photon_hz=0.0,
@@ -235,3 +287,13 @@ class TestEndToEndDeterminism:
                             (base / "qi.csv").read_bytes(),
                             (base / "slope.csv").read_bytes()))
         assert results[0] == results[1]
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal alone costs about half of a cold start; no command needs it.
+    src = os.path.dirname(os.path.dirname(hangerfit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, hangerfit.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -24,7 +24,6 @@ from hangerfit import (
     photon_numbers,
     seed_nonlinear_guess,
     selected_photon_numbers,
-    solve_photon_number,
     synthesize_nonlinear,
 )
 from hangerfit.duffing import branch_jump_indices, positive_cubic_roots
@@ -77,19 +76,28 @@ class TestNormalizedDriveParams:
             3 * normalized_drive_params(nl_1)[1], rel=1e-12)
 
 
+def roots_at(xi, eta, dt):
+    """Ascending positive roots of the cubic at one detuning."""
+    roots, counts = positive_cubic_roots(xi, eta, [dt])
+    return roots[0, :counts[0]]
+
+
+def selected_at(xi, eta, dt, policy="low"):
+    ntilde, _ = selected_photon_numbers(xi, eta, [dt], policy)
+    return float(ntilde[0])
+
+
 class TestCubicSolver:
     def test_trivial_on_resonance(self):
-        selected, roots = solve_photon_number(0.0, 0.0, 0.0)
-        assert selected == pytest.approx(2.0, rel=1e-14)
-        assert roots.size == 1
+        assert selected_at(0.0, 0.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert roots_at(0.0, 0.0, 0.0).size == 1
 
     def test_trivial_half_linewidth(self):
-        selected, _ = solve_photon_number(0.0, 0.0, 0.5)
-        assert selected == pytest.approx(1.0, rel=1e-14)
+        assert selected_at(0.0, 0.0, 0.5) == pytest.approx(1.0, rel=1e-14)
 
     def test_small_kerr_against_bisection(self):
         oracle = bisection_roots(0.01, 0.0, 0.0)
-        selected, _ = solve_photon_number(0.01, 0.0, 0.0)
+        selected = selected_at(0.01, 0.0, 0.0)
         assert len(oracle) == 1
         assert selected == pytest.approx(oracle[0], rel=1e-10)
         assert selected == pytest.approx(1.99681, rel=1e-5)
@@ -98,12 +106,11 @@ class TestCubicSolver:
         # (xi, dt) pair inside the region located by the discriminant scan.
         xi, dt = -0.8, -1.5
         assert oracle_root_count(xi, 0.0, dt) == 3
-        selected, roots = solve_photon_number(xi, 0.0, dt, policy="low")
+        roots = roots_at(xi, 0.0, dt)
         assert roots.size == 3
         assert roots[0] < roots[1] < roots[2]
-        assert selected == roots[0]
-        high, _ = solve_photon_number(xi, 0.0, dt, policy="high")
-        assert high == roots[2]
+        assert selected_at(xi, 0.0, dt, policy="low") == roots[0]
+        assert selected_at(xi, 0.0, dt, policy="high") == roots[2]
         oracle = bisection_roots(xi, 0.0, dt)
         np.testing.assert_allclose(roots, oracle, rtol=1e-8)
 
@@ -113,7 +120,7 @@ class TestCubicSolver:
             xi = float(rng.uniform(-1.2, 1.2))
             eta = float(rng.uniform(0.0, 0.8))
             dt = float(rng.uniform(-3.0, 3.0))
-            _, roots = solve_photon_number(xi, eta, dt)
+            roots = roots_at(xi, eta, dt)
             oracle = bisection_roots(xi, eta, dt)
             assert len(oracle) == roots.size
             np.testing.assert_allclose(roots, oracle, rtol=1e-8)
@@ -124,8 +131,7 @@ class TestCubicSolver:
             xi = float(rng.uniform(-1.5, 1.5))
             eta = float(rng.uniform(0.0, 1.0))
             dt = float(rng.uniform(-4.0, 4.0))
-            _, roots = solve_photon_number(xi, eta, dt)
-            for root in roots:
+            for root in roots_at(xi, eta, dt):
                 residual = abs(cubic_value(xi, eta, dt, root))
                 scale = max(1.0, abs((xi**2 + eta**2 / 4) * root**3),
                             abs((eta / 2 - 2 * xi * dt) * root**2),
@@ -143,7 +149,9 @@ class TestCubicSolver:
 
     def test_rejects_negative_eta(self):
         with pytest.raises(ParameterError):
-            solve_photon_number(0.1, -0.1, 0.0)
+            positive_cubic_roots(0.1, -0.1, [0.0])
+        with pytest.raises(ParameterError):
+            selected_photon_numbers(0.1, -0.1, [0.0], "low")
 
     def test_policy_coercion_accepts_cli_spelling(self):
         assert BranchPolicy.coerce("sweep-up") is BranchPolicy.SWEEP_UP

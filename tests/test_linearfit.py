@@ -1,4 +1,4 @@
-"""Initial estimation, linear least squares, and wideband segmentation."""
+"""Initial estimation and linear least squares."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,11 @@ from hangerfit import (
     LinearParams,
     NoResonanceError,
     ParameterError,
-    SegmentationMismatchError,
     SingularJacobianError,
     eval_linear_s21,
     estimate_initial,
     fit_linear,
     loaded_linewidth,
-    segment_resonances,
     synthesize_linear,
 )
 
@@ -147,49 +145,3 @@ class TestFitLinear:
         trace = make_trace(p, noise=0.2, seed=3)
         report = fit_linear(trace)
         assert "low_snr" in report.diagnostics
-
-
-class TestSegmentation:
-    def wideband(self, centers, q_load=500.0, n_points=6001, noise=0.0, seed=0):
-        freqs = np.linspace(4.0e9, 8.0e9, n_points)
-        response = np.ones(n_points, dtype=complex)
-        for f_r in centers:
-            p = LinearParams(amplitude=1.0, electric_delay=0.0, phase_offset=0.0,
-                             fano_asymmetry=0.0, resonant_freq=f_r,
-                             internal_loss=0.5 / q_load, coupling_loss=1.5 / q_load)
-            dt = (freqs - f_r) / (f_r * p.total_loss)
-            response *= 1.0 - (p.coupling_loss / p.total_loss) / (1.0 + 2j * dt)
-        rng = np.random.default_rng(seed)
-        s21 = response + noise * (rng.normal(size=n_points) + 1j * rng.normal(size=n_points))
-        return FrequencyTrace(freqs=freqs, s21=s21)
-
-    def test_eight_resonators_between_4p2_and_7p8_ghz(self):
-        centers = np.linspace(4.2e9, 7.8e9, 8)
-        wideband = self.wideband(centers, noise=0.002, seed=13)
-        windows = segment_resonances(wideband, expected=8)
-        assert len(windows) == 8
-        for window, f_r in zip(windows, centers):
-            linewidth = f_r * (2.0 / 500.0)
-            dip = window.freqs[np.argmin(np.abs(window.s21))]
-            assert abs(dip - f_r) < linewidth
-            assert window.freqs[-1] - window.freqs[0] >= 8 * linewidth
-
-    def test_flat_trace_mismatch(self):
-        freqs = np.linspace(4e9, 8e9, 2001)
-        rng = np.random.default_rng(1)
-        s21 = 1.0 + 0.001 * (rng.normal(size=2001) + 1j * rng.normal(size=2001))
-        with pytest.raises(SegmentationMismatchError):
-            segment_resonances(FrequencyTrace(freqs=freqs, s21=s21), expected=1)
-
-    def test_single_resonance_without_expected(self):
-        wideband = self.wideband([5.5e9], noise=0.001, seed=2)
-        windows = segment_resonances(wideband)
-        assert len(windows) == 1
-
-    def test_each_window_is_fittable(self):
-        centers = [4.5e9, 6.0e9, 7.5e9]
-        wideband = self.wideband(centers, noise=0.002, seed=23)
-        windows = segment_resonances(wideband, expected=3)
-        for window, f_r in zip(windows, centers):
-            report = fit_linear(window)
-            assert report.params.resonant_freq == pytest.approx(f_r, rel=1e-4)

@@ -8,7 +8,7 @@ extract-kerr power sweep -> per-power nonlinear fits -> slope extraction
 simulate     generate a synthetic sweep campaign from a JSON config
 
 Exit codes: 0 success, 2 input/config error, 3 analysis failure.  The
-sweep commands fit the powers one after another in manifest order; a
+sweep commands fit the powers one after another, lowest power first; a
 failure at one power keeps its error class (and so its exit code) and its
 message names the power.  Reports are written atomically (temp file +
 rename), never partially.
@@ -63,6 +63,10 @@ __all__ = ["main"]
 # holds; both numbers are recorded in the report.
 ELLIPTICITY_FACTOR = 10.0
 XI_THRESHOLD = 0.1
+
+# extract-kerr fails as linear unless a pooled rate is this many standard
+# errors from zero.
+MIN_SLOPE_SIGMAS = 3.0
 
 
 def _load_trace(path: str) -> FrequencyTrace:
@@ -216,25 +220,30 @@ def cmd_extract_kerr(args) -> int:
     manifest = parse_manifest(args.manifest)
     policy = BranchPolicy.coerce(args.policy or BranchPolicy.SWEEP_UP)
 
-    base_path, _ = manifest.entries[0]
-    base_trace = parse_csv_trace(base_path)
-    base_linear: LinearParams = fit_linear(base_trace).params
-
+    base_linear: LinearParams | None = None
     fits = []
     for path, power_dbm in manifest.entries:
         with _at_power(power_dbm):
             trace = parse_csv_trace(path)
+            if base_linear is None:
+                # The lowest power anchors the resonance and the drive seed.
+                base_linear = fit_linear(trace).params
             flux = input_photon_flux(dbm_to_watts(power_dbm - manifest.attenuation),
                                      base_linear.resonant_freq)
             guess = seed_nonlinear_guess(trace, base_linear, flux)
             fits.append(fit_nonlinear(trace, guess, policy))
     photon_numbers = [fit.details["max_photon_number"] for fit in fits]
-    if all("low_snr" in fit.diagnostics for fit in fits):
-        raise LowSignalError(
-            "nonlinear rates unresolved at every power (low sensitivity); "
-            "sweep appears linear")
 
     kerr, two_photon, diagnostics = extract_kerr_two_photon(fits, photon_numbers)
+    kerr_err = diagnostics["kerr_stderr_hz"]
+    two_photon_err = diagnostics["two_photon_stderr_hz"]
+    if (abs(kerr) < MIN_SLOPE_SIGMAS * kerr_err
+            and abs(two_photon) < MIN_SLOPE_SIGMAS * two_photon_err):
+        raise LowSignalError(
+            f"neither rate resolved (low sensitivity): kerr={kerr:.6g} "
+            f"(+-{kerr_err:.3g}) Hz, two_photon={two_photon:.6g} "
+            f"(+-{two_photon_err:.3g}) Hz, need one >= {MIN_SLOPE_SIGMAS:g} sigma "
+            f"from zero; sweep appears linear")
 
     out = args.out or f"{args.manifest}.report.json"
     trace_paths = [path for path, _ in manifest.entries]

@@ -48,7 +48,14 @@ from .errors import (
     NonConvergenceError,
     ParameterError,
 )
-from .linearfit import FitReport, _noise_sigma, _wing_indices, covariance_matrix
+from .linearfit import (
+    FitReport,
+    _detuning_jacobian,
+    _line_shape_jacobian,
+    _noise_sigma,
+    _wing_indices,
+    covariance_matrix,
+)
 from .model import (
     FrequencyTrace,
     LinearParams,
@@ -157,6 +164,7 @@ def positive_cubic_roots(xi: float, eta: float, dtilde) -> tuple[np.ndarray, np.
     c3, c2, c1 = _cubic_coefficients(xi, eta, dt)
     n = dt.size
     candidates = np.full((n, 3), np.nan)
+    any_three = False
 
     x_lin = 0.5 / c1
     # Below this the cubic term is numerically irrelevant and the far pair
@@ -179,7 +187,8 @@ def positive_cubic_roots(xi: float, eta: float, dtilde) -> tuple[np.ndarray, np.
 
         sub = np.full((c2_c.size, 3), np.nan)
         three = disc > 0.0
-        if np.any(three):
+        any_three = bool(np.any(three))
+        if any_three:
             p3, q3, a3 = p[three], q[three], a[three]
             r = 2.0 * np.sqrt(-p3 / 3.0)
             arg = np.clip(3.0 * q3 / (p3 * r), -1.0, 1.0)
@@ -197,9 +206,14 @@ def positive_cubic_roots(xi: float, eta: float, dtilde) -> tuple[np.ndarray, np.
             sub[one, 0] = t - a1 / 3.0
         candidates[cubic] = sub
 
-    candidates = _newton_polish(c3, c2[:, None], c1[:, None], candidates)
-    candidates = np.where(candidates > 0.0, candidates, np.nan)
-    candidates = np.sort(candidates, axis=1)  # NaN sorts last
+    if any_three:
+        candidates = _newton_polish(c3, c2[:, None], c1[:, None], candidates)
+        candidates = np.where(candidates > 0.0, candidates, np.nan)
+        candidates = np.sort(candidates, axis=1)  # NaN sorts last
+    else:
+        # Columns 1 and 2 are NaN everywhere: polish column 0 alone.
+        first = _newton_polish(c3, c2, c1, candidates[:, 0])
+        candidates[:, 0] = np.where(first > 0.0, first, np.nan)
     counts = np.sum(~np.isnan(candidates), axis=1)
     if np.any(counts == 0):
         raise InternalConsistencyError(
@@ -334,14 +348,57 @@ def seed_nonlinear_guess(trace: FrequencyTrace, linear: LinearParams,
                            drive_flux=drive_flux)
 
 
+def _nonlinear_jacobian(p: NonlinearParams, freqs: np.ndarray, f_center: float,
+                        policy: BranchPolicy) -> np.ndarray:
+    """Exact Jacobian of the stacked nonlinear residuals w.r.t. the fit vector.
+
+    The columns follow ``_NL_PARAM_NAMES`` with the phase referenced to
+    ``f_center``.  With ``g = delta_c*drive_flux/(2*pi*f_r**2*(delta_i +
+    delta_c)**3)`` the drive parameters are ``xi = g*kerr`` and ``eta =
+    g*two_photon``.  The selected root's derivative follows from the cubic
+    ``F(nt; xi, eta, dt) = 0`` by implicit differentiation,
+    ``d(nt) = -(F_xi*d(xi) + F_eta*d(eta) + F_dt*d(dt))/F_nt``, which holds
+    on whichever branch the policy selected.
+    """
+    lin = p.linear
+    xi, eta, atilde_sq = normalized_drive_params(p)
+    dt, d_dt = _detuning_jacobian(lin, freqs)
+    nt, _ = selected_photon_numbers(xi, eta, dt, policy)
+
+    total = lin.total_loss
+    g = atilde_sq / loaded_linewidth(lin)
+    # Rows: resonant_freq, internal_loss, coupling_loss, kerr, two_photon.
+    d_g = g * np.array([-2.0 / lin.resonant_freq, -3.0 / total,
+                        1.0 / lin.coupling_loss - 3.0 / total, 0.0, 0.0])
+    d_xi = p.kerr * d_g
+    d_xi[3] = g
+    d_eta = p.two_photon * d_g
+    d_eta[4] = g
+    d_xi, d_eta = d_xi[:, None], d_eta[:, None]
+    d_dt = np.concatenate([d_dt, np.zeros((2, dt.size))])
+
+    c3, c2, c1 = _cubic_coefficients(xi, eta, dt)
+    nt_sq = nt * nt
+    f_nt = (3.0 * c3 * nt + 2.0 * c2) * nt + c1
+    f_xi = 2.0 * (xi * nt - dt) * nt_sq
+    f_eta = 0.5 * (eta * nt + 1.0) * nt_sq
+    f_dt = 2.0 * (dt - xi * nt) * nt
+    d_nt = -(f_xi * d_xi + f_eta * d_eta + f_dt * d_dt) / f_nt
+
+    denom = 1.0 + eta * nt + 2j * (dt - xi * nt)
+    d_denom = (eta - 2j * xi) * d_nt + nt * (d_eta - 2j * d_xi) + 2j * d_dt
+    return _line_shape_jacobian(lin, freqs, f_center, denom, d_denom)
+
+
 def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
                   policy: BranchPolicy | str = BranchPolicy.SWEEP_UP,
                   max_iterations: int = 200) -> FitReport:
     """Least-squares fit of the nonlinear line shape to one trace.
 
     The drive flux is held fixed at ``guess.drive_flux`` (floating it is
-    degenerate with the two nonlinear rates); every residual evaluation
-    re-solves the photon-number cubic per frequency point.
+    degenerate with the two nonlinear rates).  Each residual and each
+    Jacobian evaluation solves the photon-number cubic once per frequency
+    point; the Jacobian is exact (see :func:`_nonlinear_jacobian`).
 
     Raises
     ------
@@ -392,8 +449,11 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
         diff = model - data
         return np.concatenate([diff.real, diff.imag])
 
+    def jacobian(u):
+        return _nonlinear_jacobian(to_params(u), trace.freqs, f_center, policy) * scales
+
     max_nfev = max_iterations * (x0.size + 1)
-    result = least_squares(residuals, x0 / scales,
+    result = least_squares(residuals, x0 / scales, jac=jacobian,
                            bounds=(lower / scales, upper / scales), method="trf",
                            ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=max_nfev)
     if result.status < 0 or not np.all(np.isfinite(result.x)):

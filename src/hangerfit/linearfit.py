@@ -2,8 +2,8 @@
 
 The fit minimizes the stacked real/imaginary residuals of the model in
 :mod:`hangerfit.model` with a damped (trust-region) least-squares solver
-and a finite-difference Jacobian.  Standard errors come from the Jacobian
-covariance scaled by the residual variance.
+and the exact, analytic Jacobian of the line shape.  Standard errors come
+from the Jacobian covariance scaled by the residual variance.
 
 The fit window is the trace as given; narrowing it to the dip is the
 caller's step (``hangerfit fit-linear --window``).
@@ -220,6 +220,50 @@ def _linear_scales(x0: np.ndarray, trace: FrequencyTrace) -> np.ndarray:
                      linewidth, x0[5], x0[6]])
 
 
+def _detuning_jacobian(p: LinearParams, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized detuning and its derivatives w.r.t. (f_r, delta_i, delta_c).
+
+    Returns ``(dt, d_dt)`` with ``d_dt`` of shape (3, N).
+    """
+    total = p.total_loss
+    dt = normalized_detuning(p, freqs)
+    d_loss = -dt / total
+    return dt, np.stack([-freqs / (p.resonant_freq**2 * total), d_loss, d_loss])
+
+
+def _line_shape_jacobian(p: LinearParams, freqs: np.ndarray, f_center: float,
+                         denom: np.ndarray, d_denom: np.ndarray) -> np.ndarray:
+    """Jacobian of the stacked real/imaginary residuals of a hanger line shape.
+
+    The line shape is ``env*(1 - D*exp(i*alpha_f)/denom)`` with ``env`` as in
+    :func:`~hangerfit.model.eval_linear_s21` and ``D = delta_c/(delta_i +
+    delta_c)``; ``denom`` is ``1 + 2i*dt`` for the linear model.  The
+    columns follow the fit vector (amplitude, electric_delay, phase at
+    ``f_center``, fano_asymmetry, resonant_freq, internal_loss,
+    coupling_loss, ...).  Rows of ``d_denom`` are the derivatives of
+    ``denom`` w.r.t. resonant_freq, internal_loss, coupling_loss and then
+    any further fit parameter, which must enter through ``denom`` alone.
+    Returns an array of shape (2N, 4 + len(d_denom)).
+    """
+    total = p.total_loss
+    depth = p.coupling_loss / total
+    env = p.amplitude * np.exp(1j * (TWO_PI * freqs * p.electric_delay + p.phase_offset))
+    tilt = np.exp(1j * p.fano_asymmetry) / denom
+    resonance = env * depth * tilt
+    s21 = env - resonance
+    cols = np.empty((freqs.size, 4 + d_denom.shape[0]), dtype=complex)
+    cols[:, 0] = s21 / p.amplitude
+    cols[:, 1] = 1j * TWO_PI * (freqs - f_center) * s21
+    cols[:, 2] = 1j * s21
+    cols[:, 3] = -1j * resonance
+    cols[:, 4:] = (resonance / denom * d_denom).T
+    # The depth D depends on the two losses: dD/d(delta_i) = -D/total and
+    # dD/d(delta_c) = delta_i/total**2.
+    cols[:, 5] += env * tilt * (depth / total)
+    cols[:, 6] -= env * tilt * (p.internal_loss / total**2)
+    return np.concatenate([cols.real, cols.imag])
+
+
 def _residual_autocorr(resid: np.ndarray) -> float:
     power = float(np.sum(np.abs(resid) ** 2))
     if power == 0:
@@ -259,11 +303,11 @@ def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None,
     f_center = float(np.mean(trace.freqs))
 
     # Two internal reparametrizations keep the problem well conditioned:
-    # unit-scale variables (finite-difference steps on the raw parameters
-    # would be wildly wrong, e.g. ~1e-8 s on the delay winds the phase by
-    # hundreds of radians across a GHz trace), and the phase referenced to
-    # the window center (the raw offset compensates 2*pi*f*t_d with f at
-    # carrier scale, an extremely narrow valley).
+    # unit-scale variables (the trust region is a ball in the fit
+    # variables, and the raw parameters range from ~1e-8 s delays to GHz
+    # frequencies), and the phase referenced to the window center (the raw
+    # offset compensates 2*pi*f*t_d with f at carrier scale, an extremely
+    # narrow valley).
     x0[2] = x0[2] + TWO_PI * f_center * x0[1]
 
     def to_params(u):
@@ -278,8 +322,14 @@ def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None,
         diff = model - data
         return np.concatenate([diff.real, diff.imag])
 
+    def jacobian(u):
+        p = to_params(u)
+        dt, d_dt = _detuning_jacobian(p, trace.freqs)
+        return _line_shape_jacobian(p, trace.freqs, f_center,
+                                    1.0 + 2j * dt, 2j * d_dt) * scales
+
     max_nfev = max_iterations * (x0.size + 1)
-    result = least_squares(residuals, x0 / scales,
+    result = least_squares(residuals, x0 / scales, jac=jacobian,
                            bounds=(lower / scales, upper / scales), method="trf",
                            ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=max_nfev)
 

@@ -60,7 +60,11 @@ _REQUIRED_METADATA = ["power_dbm", "attenuation_db", "temperature_k", "label"]
 
 @dataclass(frozen=True)
 class SweepManifest:
-    """Ordered power sweep of trace files for one resonator."""
+    """Power sweep of trace files for one resonator.
+
+    ``entries`` are kept sorted by power, ascending (equal powers keep their
+    given order), so ``entries[0]`` is always the lowest power.
+    """
 
     label: str
     entries: tuple          # of (path, power_dbm)
@@ -73,7 +77,8 @@ class SweepManifest:
             raise ParameterError("manifest trace paths must be distinct")
         if not all(math.isfinite(power) for _, power in self.entries):
             raise ParameterError("manifest powers must be finite")
-        object.__setattr__(self, "entries", tuple((str(p), float(w)) for p, w in self.entries))
+        entries = sorted(((str(p), float(w)) for p, w in self.entries), key=lambda e: e[1])
+        object.__setattr__(self, "entries", tuple(entries))
 
 
 def _atomic_write(path: str, text: str) -> None:

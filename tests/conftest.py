@@ -65,6 +65,26 @@ def oracle_root_count(xi, eta, dtilde):
                if abs(r.imag) <= 1e-9 * max(1.0, abs(r)) and r.real > 0)
 
 
+def central_difference_jacobian(fun, u, step=1e-4):
+    """Jacobian of ``fun`` at ``u`` by central differences, one column per entry.
+
+    The default step suits unit-scaled variables: the resonance frequency
+    sits at ~1e6 linewidths from zero, so a much smaller step is lost to
+    rounding in ``u*scale``.
+    """
+    columns = []
+    for j in range(u.size):
+        e = np.zeros(u.size)
+        e[j] = step
+        columns.append((fun(u + e) - fun(u - e)) / (2.0 * step))
+    return np.column_stack(columns)
+
+
+def column_relative_errors(jac, reference):
+    """Per-column relative 2-norm error of ``jac`` against ``reference``."""
+    return np.linalg.norm(jac - reference, axis=0) / np.linalg.norm(reference, axis=0)
+
+
 def drive_flux_for_xi(linear: LinearParams, kerr: float, xi_target: float) -> float:
     """Drive flux that produces the requested xi for the given Kerr rate."""
     probe = NonlinearParams(linear=linear, kerr=kerr, two_photon=0.0, drive_flux=1.0)

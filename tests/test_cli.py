@@ -259,6 +259,20 @@ class TestExtractKerrCommand:
         assert "input error" in err
         assert power in err
 
+    def test_each_trace_parsed_once(self, tmp_path, monkeypatch):
+        manifest_path, _ = simulate(tmp_path, KERR_CONFIG)
+        parsed = []
+        parse = hangerfit.cli.parse_csv_trace
+
+        def counting_parse(path):
+            parsed.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(hangerfit.cli, "parse_csv_trace", counting_parse)
+        assert run(["extract-kerr", manifest_path, "--out", tmp_path / "kerr.json",
+                    "--plot-table", tmp_path / "slope.csv"]) == 0
+        assert parsed == [path for path, _ in parse_manifest(manifest_path).entries]
+
     def test_all_linear_sweep_is_analysis_error(self, tmp_path, capsys):
         config = dict(KERR_CONFIG, kerr_hz=0.0, two_photon_hz=0.0,
                       instrument_powers_dbm=list(np.linspace(-90.0, -80.0, 5)))
@@ -266,6 +280,21 @@ class TestExtractKerrCommand:
         assert run(["extract-kerr", manifest_path]) == 3
         err = capsys.readouterr().err
         assert "low sensitivity" in err
+
+
+class TestManifestOrder:
+    def test_reversed_manifest_gives_identical_sweep_outputs(self, tmp_path):
+        manifest_path, _ = simulate(tmp_path, TLS_CONFIG)
+        payload = json.loads(manifest_path.read_text())
+        payload["traces"].reverse()
+        reversed_path = manifest_path.with_name("reversed.json")
+        reversed_path.write_text(json.dumps(payload))
+        outputs = []
+        for tag, path in (("given", manifest_path), ("reversed", reversed_path)):
+            out, table = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+            assert run(["fit-sweep", path, "--out", out, "--plot-table", table]) == 0
+            outputs.append((out.read_bytes(), table.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestEndToEndDeterminism:

@@ -19,6 +19,7 @@ from hangerfit import (
     extract_kerr_two_photon,
     fit_circle,
     fit_nonlinear,
+    loaded_linewidth,
     mean_photon_number,
     normalized_drive_params,
     photon_numbers,
@@ -26,9 +27,22 @@ from hangerfit import (
     selected_photon_numbers,
     synthesize_nonlinear,
 )
-from hangerfit.duffing import branch_jump_indices, positive_cubic_roots
+from hangerfit.duffing import (
+    _nl_vector,
+    _nonlinear_jacobian,
+    branch_jump_indices,
+    positive_cubic_roots,
+)
+from hangerfit.linearfit import _detuning_jacobian, _line_shape_jacobian
 
-from conftest import bisection_roots, cubic_value, drive_flux_for_xi, oracle_root_count
+from conftest import (
+    bisection_roots,
+    central_difference_jacobian,
+    column_relative_errors,
+    cubic_value,
+    drive_flux_for_xi,
+    oracle_root_count,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -147,6 +161,23 @@ class TestCubicSolver:
             _, counts = positive_cubic_roots(xi, eta, [dt])
             assert counts[0] in (1, 3)
 
+    def test_single_root_grid_unchanged_by_a_three_root_point(self):
+        # A grid with no three-root point takes the single-column path; the
+        # same points on a grid that has one must give the same bits.
+        xi = -0.8
+        dense = np.linspace(-6.0, 6.0, 1201)
+        _, counts = positive_cubic_roots(xi, 0.0, dense)
+        single = dense[counts == 1]
+        three = dense[counts == 3][0]
+        roots, single_counts = positive_cubic_roots(xi, 0.0, single)
+        assert np.all(single_counts == 1)
+        mixed = np.sort(np.append(single, three))
+        mixed_roots, mixed_counts = positive_cubic_roots(xi, 0.0, mixed)
+        keep = mixed != three
+        np.testing.assert_array_equal(mixed_roots[keep], roots)
+        np.testing.assert_array_equal(mixed_counts[keep], single_counts)
+        assert mixed_counts[~keep][0] == 3
+
     def test_rejects_negative_eta(self):
         with pytest.raises(ParameterError):
             positive_cubic_roots(0.1, -0.1, [0.0])
@@ -245,6 +276,63 @@ class TestNonlinearLineShape:
         power_w = 1e8 * PLANCK * base_linear.resonant_freq
         n = photon_numbers(nl, [base_linear.resonant_freq], "low")[0]
         assert n == pytest.approx(mean_photon_number(power_w, base_linear), rel=1e-9)
+
+
+class TestNonlinearJacobian:
+    FREQS = np.linspace(5e9 * (1 - 1e-3), 5e9 * (1 + 1e-3), 201)
+
+    def case(self, xi, eta):
+        lin = make_linear(amplitude=0.8, electric_delay=50e-9, phase_offset=0.4,
+                          fano_asymmetry=0.3)
+        kerr = -1.5e3 if xi < 0 else 1.5e3
+        flux = drive_flux_for_xi(lin, kerr, xi)
+        g = normalized_drive_params(
+            NonlinearParams(linear=lin, kerr=1.0, two_photon=0.0, drive_flux=flux))[0]
+        return NonlinearParams(linear=lin, kerr=kerr, two_photon=eta / g, drive_flux=flux)
+
+    @pytest.mark.parametrize("xi", [0.1, 0.9, -0.5])
+    def test_matches_central_differences_in_scaled_variables(self, xi):
+        p = self.case(xi, 0.3)
+        xi_p, eta_p, _ = normalized_drive_params(p)
+        f_center = float(np.mean(self.FREQS))
+        dt = (self.FREQS - 5e9) / (5e9 * p.linear.total_loss)
+        _, counts = positive_cubic_roots(xi_p, eta_p, dt)
+        assert np.all(counts == 1)
+
+        x = _nl_vector(p)
+        x[2] += TWO_PI * f_center * x[1]
+        # Unit-scaled variables as in fit_nonlinear.
+        span = float(self.FREQS[-1] - self.FREQS[0])
+        scales = np.array([x[0], 1.0 / (TWO_PI * span), 1.0, 0.3,
+                           loaded_linewidth(p.linear), x[5], x[6], abs(x[7]), x[8]])
+
+        def params_at(u):
+            v = u * scales
+            lin = LinearParams(amplitude=v[0], electric_delay=v[1],
+                               phase_offset=v[2] - TWO_PI * f_center * v[1],
+                               fano_asymmetry=v[3], resonant_freq=v[4],
+                               internal_loss=v[5], coupling_loss=v[6])
+            return NonlinearParams(linear=lin, kerr=v[7], two_photon=v[8],
+                                   drive_flux=p.drive_flux)
+
+        def model(u):
+            s21 = eval_nonlinear_s21(params_at(u), self.FREQS, "sweep_up")
+            return np.concatenate([s21.real, s21.imag])
+
+        u = x / scales
+        jac = _nonlinear_jacobian(params_at(u), self.FREQS, f_center,
+                                  BranchPolicy.SWEEP_UP) * scales
+        reference = central_difference_jacobian(model, u)
+        assert np.all(column_relative_errors(jac, reference) <= 1e-5)
+
+    def test_zero_rates_give_exactly_the_linear_columns(self):
+        lin = make_linear(fano_asymmetry=0.3, electric_delay=50e-9)
+        p = NonlinearParams(linear=lin, kerr=0.0, two_photon=0.0, drive_flux=1e12)
+        f_center = float(np.mean(self.FREQS))
+        jac = _nonlinear_jacobian(p, self.FREQS, f_center, BranchPolicy.SWEEP_UP)
+        dt, d_dt = _detuning_jacobian(lin, self.FREQS)
+        linear = _line_shape_jacobian(lin, self.FREQS, f_center, 1.0 + 2j * dt, 2j * d_dt)
+        np.testing.assert_array_equal(jac[:, :7], linear)
 
 
 class TestEllipticityMetric:

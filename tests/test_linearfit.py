@@ -1,5 +1,7 @@
 """Initial estimation and linear least squares."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,14 @@ from hangerfit import (
     loaded_linewidth,
     synthesize_linear,
 )
+from hangerfit.linearfit import (
+    _detuning_jacobian,
+    _line_shape_jacobian,
+    _linear_scales,
+    _params_to_vector,
+)
+
+from conftest import central_difference_jacobian, column_relative_errors
 
 
 def make_params(**overrides):
@@ -145,3 +155,34 @@ class TestFitLinear:
         trace = make_trace(p, noise=0.2, seed=3)
         report = fit_linear(trace)
         assert "low_snr" in report.diagnostics
+
+
+class TestLinearJacobian:
+    def test_matches_central_differences_in_scaled_variables(self):
+        p = make_params(amplitude=0.8, electric_delay=50e-9, phase_offset=0.4,
+                        fano_asymmetry=0.3)
+        trace = make_trace(p, n_points=201)
+        freqs = trace.freqs
+        f_center = float(np.mean(freqs))
+        scales = _linear_scales(_params_to_vector(p), trace)
+
+        # The fit's variables: unit-scaled, phase referenced to f_center.
+        def params_at(u):
+            x = u * scales
+            return LinearParams(amplitude=x[0], electric_delay=x[1],
+                                phase_offset=x[2] - 2 * math.pi * f_center * x[1],
+                                fano_asymmetry=x[3], resonant_freq=x[4],
+                                internal_loss=x[5], coupling_loss=x[6])
+
+        def model(u):
+            s21 = eval_linear_s21(params_at(u), freqs)
+            return np.concatenate([s21.real, s21.imag])
+
+        x = _params_to_vector(p)
+        x[2] += 2 * math.pi * f_center * x[1]
+        u = x / scales
+        dt, d_dt = _detuning_jacobian(params_at(u), freqs)
+        jac = _line_shape_jacobian(params_at(u), freqs, f_center,
+                                   1.0 + 2j * dt, 2j * d_dt) * scales
+        reference = central_difference_jacobian(model, u)
+        assert np.all(column_relative_errors(jac, reference) <= 1e-5)

@@ -31,6 +31,7 @@ from .errors import (
     BifurcationUnstableError,
     ConfigError,
     HangerFitError,
+    InputMismatchError,
     InsufficientPowersError,
     InsufficientSpanError,
     InternalConsistencyError,

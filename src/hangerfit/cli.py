@@ -7,11 +7,15 @@ fit-sweep    power sweep -> per-power linear fits -> TLS model fit
 extract-kerr power sweep -> per-power nonlinear fits -> slope extraction
 simulate     generate a synthetic sweep campaign from a JSON config
 
-Exit codes: 0 success, 2 input/config error, 3 analysis failure.  The
-sweep commands fit the powers one after another, lowest power first; a
-failure at one power keeps its error class (and so its exit code) and its
-message names the power.  Reports are written atomically (temp file +
-rename), never partially.
+Exit codes: 0 success, 2 input/config error, 3 analysis failure.  A
+trace is CSV or Touchstone v1 (``.s2p``), on its own and in a sweep
+manifest alike.  A Touchstone sweep entry takes its power from the
+manifest entry and its attenuation and temperature from the manifest; a
+CSV entry whose ``power_dbm`` differs from its manifest entry is an input
+error.  The sweep commands fit the powers one after another, lowest power
+first; a failure at one power keeps its error class (and so its exit
+code) and its message names the power.  Reports are written atomically
+(temp file + rename), never partially.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .duffing import (
 from .errors import (
     ConfigError,
     HangerFitError,
+    InputMismatchError,
     InsufficientSpanError,
     LowSignalError,
     ParameterError,
@@ -69,10 +74,26 @@ XI_THRESHOLD = 0.1
 MIN_SLOPE_SIGMAS = 3.0
 
 
-def _load_trace(path: str) -> FrequencyTrace:
+def _load_trace(path: str, manifest: SweepManifest | None = None,
+                power_dbm: float | None = None) -> FrequencyTrace:
+    """Read a CSV or Touchstone trace, on its own or as a sweep entry.
+
+    Touchstone carries no drive metadata, so a sweep entry takes its power
+    from its manifest entry and its attenuation and temperature from the
+    manifest.  A CSV entry must state the power of its manifest entry.
+    """
     if str(path).lower().endswith((".s2p", ".ts")):
-        return parse_touchstone(path)
-    return parse_csv_trace(path)
+        if manifest is None:
+            return parse_touchstone(path)
+        return parse_touchstone(path, instrument_power=power_dbm,
+                                attenuation=manifest.attenuation,
+                                temperature=manifest.temperature)
+    trace = parse_csv_trace(path)
+    if power_dbm is not None and trace.instrument_power != power_dbm:
+        raise InputMismatchError(
+            f"{path}: power_dbm={trace.instrument_power!r} disagrees with the "
+            f"manifest entry {power_dbm!r} dBm")
+    return trace
 
 
 def _window_trace(trace: FrequencyTrace, window_linewidths: float) -> FrequencyTrace:
@@ -130,7 +151,7 @@ def cmd_fit_sweep(args) -> int:
     fitted = []
     for path, power_dbm in manifest.entries:
         with _at_power(power_dbm):
-            trace = parse_csv_trace(path)
+            trace = _load_trace(path, manifest, power_dbm)
             report = fit_linear(trace)
             power_w = dbm_to_watts(power_dbm - manifest.attenuation)
             fitted.append((trace, report, mean_photon_number(power_w, report.params)))
@@ -224,7 +245,7 @@ def cmd_extract_kerr(args) -> int:
     fits = []
     for path, power_dbm in manifest.entries:
         with _at_power(power_dbm):
-            trace = parse_csv_trace(path)
+            trace = _load_trace(path, manifest, power_dbm)
             if base_linear is None:
                 # The lowest power anchors the resonance and the drive seed.
                 base_linear = fit_linear(trace).params
@@ -437,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("fit-sweep", parents=[out_flag],
                              help="TLS fit of a power sweep")
-    p_sweep.add_argument("manifest", help="sweep manifest JSON path")
+    p_sweep.add_argument("manifest", help="sweep manifest JSON path (CSV or .s2p entries)")
     p_sweep.add_argument("--model", choices=["tls", "tls+2photon"], default="tls")
     p_sweep.add_argument("--exclude-nonlinear-powers", action="store_true",
                          help="drop powers with Duffing tilt or elliptic IQ traces")
@@ -447,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kerr = sub.add_parser("extract-kerr", parents=[out_flag, policy_flag],
                             help="extract Kerr and two-photon rates from a sweep")
-    p_kerr.add_argument("manifest", help="sweep manifest JSON path")
+    p_kerr.add_argument("manifest", help="sweep manifest JSON path (CSV or .s2p entries)")
     p_kerr.add_argument("--plot-table", default=None, help="kerr_slope CSV path")
     p_kerr.set_defaults(func=cmd_extract_kerr)
 
@@ -465,7 +486,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TraceParseError, ConfigError, OSError) as exc:
+    except (TraceParseError, ConfigError, InputMismatchError, OSError) as exc:
         print(f"hangerfit: input error: {exc}", file=sys.stderr)
         return 2
     except HangerFitError as exc:

@@ -79,6 +79,10 @@ class UnsupportedFormatError(TraceParseError):
     pass
 
 
+class InputMismatchError(HangerFitError):
+    """Two inputs disagree, e.g. a trace's power metadata and its manifest entry."""
+
+
 class ConfigError(HangerFitError):
     """Configuration file violates the documented schema."""
 

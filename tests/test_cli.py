@@ -14,6 +14,7 @@ import hangerfit
 from hangerfit import (
     LinearParams,
     linewidth_grid,
+    parse_csv_trace,
     parse_manifest,
     read_report,
     synthesize_linear,
@@ -26,11 +27,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-def write_flat_trace(path):
+def write_flat_trace(path, power_dbm=-60.0):
     freqs = np.linspace(5e9 - 1e5, 5e9 + 1e5, 101)
     rng = np.random.default_rng(0)
     s21 = 1.0 + 0.002 * (rng.normal(size=101) + 1j * rng.normal(size=101))
-    body = ["# power_dbm=-60.0", "# attenuation_db=74.0", "# temperature_k=0.01",
+    body = [f"# power_dbm={power_dbm!r}", "# attenuation_db=74.0", "# temperature_k=0.01",
             "# label=flat", "freq_hz,s21_re,s21_im"]
     body += [f"{float(f)!r},{float(z.real)!r},{float(z.imag)!r}"
              for f, z in zip(freqs, s21)]
@@ -222,10 +223,69 @@ class TestFitSweepCommand:
     def test_flat_trace_keeps_its_error_class(self, tmp_path, capsys):
         manifest_path, _ = simulate(tmp_path, TLS_CONFIG)
         path, power = third_power(manifest_path)
-        write_flat_trace(pathlib.Path(path))
+        # The flat trace states its manifest power, so only the fit can fail.
+        write_flat_trace(pathlib.Path(path), parse_manifest(manifest_path).entries[2][1])
         assert run(["fit-sweep", manifest_path]) == 3
         err = capsys.readouterr().err
         assert "NoResonanceError" in err
+        assert power in err
+
+
+def touchstone_copy(manifest_path, out_dir):
+    """RI .s2p copy of every trace of a sweep, with a manifest naming them."""
+    out_dir.mkdir()
+    payload = json.loads(manifest_path.read_text())
+    for item in payload["traces"]:
+        trace = parse_csv_trace(manifest_path.parent / item["path"])
+        rows = [" ".join(repr(float(v)) for v in (f, 0.0, 0.0, z.real, z.imag,
+                                                   z.real, z.imag, 0.0, 0.0))
+                for f, z in zip(trace.freqs, trace.s21)]
+        item["path"] = item["path"].replace(".csv", ".s2p")
+        (out_dir / item["path"]).write_text("# Hz S RI R 50\n" + "\n".join(rows) + "\n")
+    copy_path = out_dir / "manifest.json"
+    copy_path.write_text(json.dumps(payload))
+    return copy_path
+
+
+class TestSweepInputs:
+    def test_touchstone_sweep_fits_like_csv(self, tmp_path):
+        manifest_path, _ = simulate(tmp_path, TLS_CONFIG)
+        s2p_manifest = touchstone_copy(manifest_path, tmp_path / "s2p")
+        fitted = []
+        for tag, path in (("csv", manifest_path), ("s2p", s2p_manifest)):
+            out = tmp_path / f"{tag}.json"
+            assert run(["fit-sweep", path, "--out", out,
+                        "--plot-table", tmp_path / f"{tag}.csv"]) == 0
+            reports, _ = read_report(out)
+            fitted.append([(r.params, r.std_errors, r.details) for r in reports])
+        assert len(fitted[1]) == 13
+        assert fitted[0] == fitted[1]
+        assert (tmp_path / "csv.csv").read_bytes() == (tmp_path / "s2p.csv").read_bytes()
+
+    def test_touchstone_entry_takes_manifest_drive(self, tmp_path):
+        manifest_path, _ = simulate(tmp_path, TLS_CONFIG)
+        s2p_manifest = touchstone_copy(manifest_path, tmp_path / "s2p")
+        manifest = parse_manifest(s2p_manifest)
+        path, power_dbm = manifest.entries[2]
+        trace = hangerfit.cli._load_trace(path, manifest, power_dbm)
+        assert trace.instrument_power == power_dbm
+        assert trace.attenuation == TLS_CONFIG["attenuation_db"]
+        assert trace.temperature == TLS_CONFIG["temperature_k"]
+
+    @pytest.mark.parametrize("command", ["fit-sweep", "extract-kerr"])
+    def test_csv_power_disagreeing_with_manifest_is_input_error(
+            self, tmp_path, capsys, command):
+        manifest_path, _ = simulate(tmp_path, KERR_CONFIG)
+        path, power = third_power(manifest_path)
+        trace_path = pathlib.Path(path)
+        stated = parse_manifest(manifest_path).entries[2][1]
+        text = trace_path.read_text()
+        trace_path.write_text(text.replace(f"# power_dbm={stated!r}", "# power_dbm=-12.5"))
+        assert run([command, manifest_path]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err
+        assert trace_path.name in err
+        assert "-12.5" in err and repr(stated) in err
         assert power in err
 
 

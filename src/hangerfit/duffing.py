@@ -33,11 +33,11 @@ response becomes hysteretic; branch selection is a :class:`BranchPolicy`.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import TWO_PI
 from .errors import (
@@ -45,25 +45,28 @@ from .errors import (
     InsufficientPowersError,
     InternalConsistencyError,
     LowSignalError,
-    NonConvergenceError,
     ParameterError,
 )
 from .linearfit import (
+    _PARAM_NAMES,
     FitReport,
     _detuning_jacobian,
+    _fit_line_shape,
+    _line_shape_details,
     _line_shape_jacobian,
+    _linear_bounds,
+    _linear_scales,
     _noise_sigma,
+    _params_to_vector,
+    _vector_to_params,
     _wing_indices,
-    covariance_matrix,
 )
 from .model import (
     FrequencyTrace,
     LinearParams,
     NonlinearParams,
-    eval_linear_s21,
     loaded_linewidth,
     normalized_detuning,
-    raw_qc,
 )
 
 __all__ = [
@@ -309,24 +312,24 @@ def max_photon_number(p: NonlinearParams, freqs,
     return float(np.max(photon_numbers(p, freqs, policy)))
 
 
-_NL_PARAM_NAMES = ["amplitude", "electric_delay", "phase_offset", "fano_asymmetry",
-                   "resonant_freq", "internal_loss", "coupling_loss",
-                   "kerr", "two_photon"]
+_NL_PARAM_NAMES = _PARAM_NAMES + ["kerr", "two_photon"]
 
 
 def _nl_vector(p: NonlinearParams) -> np.ndarray:
-    lin = p.linear
-    return np.array([lin.amplitude, lin.electric_delay, lin.phase_offset,
-                     lin.fano_asymmetry, lin.resonant_freq, lin.internal_loss,
-                     lin.coupling_loss, p.kerr, p.two_photon])
+    return np.append(_params_to_vector(p.linear), [p.kerr, p.two_photon])
 
 
 def _nl_params(x: np.ndarray, drive_flux: float) -> NonlinearParams:
-    lin = LinearParams(amplitude=x[0], electric_delay=x[1], phase_offset=x[2],
-                       fano_asymmetry=x[3], resonant_freq=x[4],
-                       internal_loss=x[5], coupling_loss=x[6])
-    return NonlinearParams(linear=lin, kerr=x[7], two_photon=max(x[8], 0.0),
-                           drive_flux=drive_flux)
+    return NonlinearParams(linear=_vector_to_params(x), kerr=x[7],
+                           two_photon=max(x[8], 0.0), drive_flux=drive_flux)
+
+
+def _nl_scales(x0: np.ndarray, trace: FrequencyTrace, drive_flux: float) -> np.ndarray:
+    """Linear unit scales, then kerr and two_photon: linewidth / max(2*atilde_sq, 1)."""
+    scales = _linear_scales(x0, trace)
+    _, _, atilde_sq = normalized_drive_params(_nl_params(x0, drive_flux))
+    rate_scale = scales[4] / max(2.0 * atilde_sq, 1.0)
+    return np.append(scales, [max(abs(x0[7]), rate_scale), rate_scale])
 
 
 def seed_nonlinear_guess(trace: FrequencyTrace, linear: LinearParams,
@@ -391,17 +394,22 @@ def _nonlinear_jacobian(p: NonlinearParams, freqs: np.ndarray, f_center: float,
 
 
 def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
-                  policy: BranchPolicy | str = BranchPolicy.SWEEP_UP,
-                  max_iterations: int = 200) -> FitReport:
+                  policy: BranchPolicy | str = BranchPolicy.SWEEP_UP) -> FitReport:
     """Least-squares fit of the nonlinear line shape to one trace.
 
-    The drive flux is held fixed at ``guess.drive_flux`` (floating it is
-    degenerate with the two nonlinear rates).  Each residual and each
-    Jacobian evaluation solves the photon-number cubic once per frequency
-    point; the Jacobian is exact (see :func:`_nonlinear_jacobian`).
+    The solve is the shared core ``linearfit._fit_line_shape`` on the linear
+    fit vector plus ``kerr`` and ``two_photon`` (>= 0).  The drive flux is
+    held fixed at ``guess.drive_flux`` (floating it is degenerate with the
+    two rates).  Each residual and each Jacobian evaluation solves the
+    photon-number cubic once per frequency point; the Jacobian is exact
+    (see :func:`_nonlinear_jacobian`).
 
     Raises
     ------
+    ParameterError
+        Fewer than 12 points (p + 3 for the 9 parameters).
+    SingularJacobianError
+        The trace is constant.
     NonConvergenceError
         The optimizer failed outright.
     BifurcationUnstableError
@@ -409,63 +417,16 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
         from a fold point (threshold :data:`CONTINUITY_THRESHOLD`).
     """
     policy = BranchPolicy.coerce(policy)
-    if len(trace) < 12:
-        raise ParameterError("need >= 12 points to fit 9 parameters")
     drive_flux = guess.drive_flux
-
-    x0 = _nl_vector(guess)
-    span = float(trace.freqs[-1] - trace.freqs[0])
-    f_lo = float(trace.freqs[0]) - 0.25 * span
-    f_hi = float(trace.freqs[-1]) + 0.25 * span
-    lower = np.array([1e-12, -np.inf, -np.inf, -(np.pi / 2 - 1e-9), f_lo,
-                      1e-12, 1e-12, -np.inf, 0.0])
-    upper = np.array([np.inf, np.inf, np.inf, np.pi / 2 - 1e-9, f_hi,
-                      1.0 - 1e-12, 1.0 - 1e-12, np.inf, np.inf])
-    x0 = np.minimum(np.maximum(x0, lower), upper)
-
-    linewidth = max(x0[4] * (x0[5] + x0[6]), span / 100.0)
-    base = NonlinearParams(linear=guess.linear, kerr=0.0, two_photon=0.0,
-                           drive_flux=drive_flux)
-    _, _, atilde_sq = normalized_drive_params(base)
-    rate_scale = linewidth / max(2.0 * atilde_sq, 1.0)
-    kerr_scale = max(abs(x0[7]), rate_scale)
-    scales = np.array([x0[0], 1.0 / (TWO_PI * span), 1.0, 0.3, linewidth,
-                       x0[5], x0[6], kerr_scale, rate_scale])
-    data = trace.s21
-    f_center = float(np.mean(trace.freqs))
-
-    # Same conditioning tricks as fit_linear: unit-scale variables and the
-    # phase referenced to the window center instead of DC.
-    x0[2] = x0[2] + TWO_PI * f_center * x0[1]
-
-    def to_params(u):
-        x = u * scales
-        vec = x.copy()
-        vec[2] = math.remainder(x[2] - TWO_PI * f_center * x[1], TWO_PI)
-        return _nl_params(vec, drive_flux)
-
-    def residuals(u):
-        model = eval_nonlinear_s21(to_params(u), trace.freqs, policy)
-        diff = model - data
-        return np.concatenate([diff.real, diff.imag])
-
-    def jacobian(u):
-        return _nonlinear_jacobian(to_params(u), trace.freqs, f_center, policy) * scales
-
-    max_nfev = max_iterations * (x0.size + 1)
-    result = least_squares(residuals, x0 / scales, jac=jacobian,
-                           bounds=(lower / scales, upper / scales), method="trf",
-                           ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=max_nfev)
-    if result.status < 0 or not np.all(np.isfinite(result.x)):
-        raise NonConvergenceError(f"nonlinear fit failed: {result.message}")
-
-    try:
-        params = to_params(result.x)
-        in_domain = True
-    except ParameterError:
-        params = guess
-        in_domain = False
-    converged = bool(result.status > 0 and result.nfev < max_nfev and in_domain)
+    lower, upper = _linear_bounds(trace)
+    report, _ = _fit_line_shape(
+        trace, _NL_PARAM_NAMES, lambda: guess, _nl_vector,
+        lambda x: _nl_params(x, drive_flux),
+        (np.append(lower, [-np.inf, 0.0]), np.append(upper, [np.inf, np.inf])),
+        lambda x0: _nl_scales(x0, trace, drive_flux),
+        lambda p, freqs: eval_nonlinear_s21(p, freqs, policy),
+        lambda p, freqs, f_center: _nonlinear_jacobian(p, freqs, f_center, policy))
+    params, std_errors = report.params, report.std_errors
 
     xi, eta, atilde_sq = normalized_drive_params(params)
     dt = normalized_detuning(params.linear, trace.freqs)
@@ -474,15 +435,6 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
     if jumps.size:
         raise BifurcationUnstableError(
             f"selected branch jumps at grid indices {jumps.tolist()}")
-
-    cov = covariance_matrix(result.jac, result.fun) * np.outer(scales, scales)
-    transform = np.eye(x0.size)
-    transform[2, 1] = -TWO_PI * f_center
-    cov = transform @ cov @ transform.T
-    std_errors = {name: float(np.sqrt(max(cov[i, i], 0.0)))
-                  for i, name in enumerate(_NL_PARAM_NAMES)}
-    n = len(trace)
-    residual_rms = float(np.sqrt(np.sum(result.fun**2) / n))
 
     diagnostics = set()
     if np.any(counts == 3):
@@ -493,19 +445,14 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
         diagnostics.add("low_snr")
 
     details = {
-        "q_i": params.linear.q_internal,
-        "q_c": params.linear.q_coupling,
-        "q_c_raw": raw_qc(params.linear),
-        "loaded_linewidth_hz": loaded_linewidth(params.linear),
+        **_line_shape_details(params.linear),
         "xi": float(xi),
         "eta": float(eta),
         "drive_flux": drive_flux,
         "max_photon_number": float(np.max(ntilde * atilde_sq)),
         "photon_number_convention": "max_selected_branch",
     }
-    return FitReport(params=params, std_errors=std_errors, residual_rms=residual_rms,
-                     n_points=n, converged=converged,
-                     diagnostics=frozenset(diagnostics), details=details)
+    return dataclasses.replace(report, diagnostics=frozenset(diagnostics), details=details)
 
 
 def extract_kerr_two_photon(per_power_fits: list[FitReport],

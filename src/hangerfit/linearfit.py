@@ -5,12 +5,19 @@ The fit minimizes the stacked real/imaginary residuals of the model in
 and the exact, analytic Jacobian of the line shape.  Standard errors come
 from the Jacobian covariance scaled by the residual variance.
 
+:func:`_fit_line_shape` is the one solver of both line-shape fits, this
+module's :func:`fit_linear` and :func:`hangerfit.duffing.fit_nonlinear`
+(the linear fit vector plus two rates).  It needs p + 3 points for p
+parameters, raises :class:`SingularJacobianError` on a constant trace, and
+owns the scaled variables, the solve and the standard errors.
+
 The fit window is the trace as given; narrowing it to the dip is the
 caller's step (``hangerfit fit-linear --window``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +27,7 @@ from scipy.optimize import least_squares
 from .constants import TWO_PI
 from .errors import (
     NoResonanceError,
+    NonConvergenceError,
     ParameterError,
     SingularJacobianError,
 )
@@ -190,6 +198,10 @@ def estimate_initial(trace: FrequencyTrace) -> LinearParams:
 _PARAM_NAMES = ["amplitude", "electric_delay", "phase_offset", "fano_asymmetry",
                 "resonant_freq", "internal_loss", "coupling_loss"]
 
+# Iteration budget of a line-shape fit: the solver stops after this many
+# times (fit parameters + 1) residual evaluations.
+_MAX_ITERATIONS = 200
+
 
 def _params_to_vector(p: LinearParams) -> np.ndarray:
     return np.array([p.amplitude, p.electric_delay, p.phase_offset,
@@ -218,6 +230,26 @@ def _linear_scales(x0: np.ndarray, trace: FrequencyTrace) -> np.ndarray:
     linewidth = max(x0[4] * (x0[5] + x0[6]), span / 100.0)
     return np.array([x0[0], 1.0 / (TWO_PI * span), 1.0, 0.3,
                      linewidth, x0[5], x0[6]])
+
+
+def _fit_variables(x: np.ndarray, scales: np.ndarray, f_center: float) -> np.ndarray:
+    """Fit variables of parameter vector ``x``; inverse of :func:`_params_at`.
+
+    Unit scales make the trust region a ball (raw parameters range from ~1e-8
+    s delays to GHz frequencies), and the phase is referenced to the window
+    centre (the raw offset compensates 2*pi*f*t_d at carrier f, an extremely
+    narrow valley).
+    """
+    x = x.copy()
+    x[2] = x[2] + TWO_PI * f_center * x[1]
+    return x / scales
+
+
+def _params_at(u: np.ndarray, scales: np.ndarray, f_center: float, make_params):
+    """Parameters at fit variables ``u`` (see :func:`_fit_variables`)."""
+    x = u * scales
+    x[2] = math.remainder(x[2] - TWO_PI * f_center * x[1], TWO_PI)
+    return make_params(x)
 
 
 def _detuning_jacobian(p: LinearParams, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +296,12 @@ def _line_shape_jacobian(p: LinearParams, freqs: np.ndarray, f_center: float,
     return np.concatenate([cols.real, cols.imag])
 
 
+def _linear_jacobian(p: LinearParams, freqs: np.ndarray, f_center: float) -> np.ndarray:
+    """Exact Jacobian of the linear model's stacked residuals w.r.t. its fit vector."""
+    dt, d_dt = _detuning_jacobian(p, freqs)
+    return _line_shape_jacobian(p, freqs, f_center, 1.0 + 2j * dt, 2j * d_dt)
+
+
 def _residual_autocorr(resid: np.ndarray) -> float:
     power = float(np.sum(np.abs(resid) ** 2))
     if power == 0:
@@ -271,109 +309,111 @@ def _residual_autocorr(resid: np.ndarray) -> float:
     return float(np.abs(np.sum(resid[:-1] * np.conj(resid[1:]))) / power)
 
 
-def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None,
-               max_iterations: int = 200) -> FitReport:
+def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
+                    make_params, bounds: tuple[np.ndarray, np.ndarray], scales_of,
+                    model, jacobian) -> tuple[FitReport, np.ndarray]:
+    """Least-squares fit of a hanger line shape, shared by both fits.
+
+    The fit vector, labelled by ``names``, starts with the seven linear
+    parameters.  ``start()`` gives the starting parameters after the input
+    guards; ``to_vector``/``make_params`` map parameters to vectors and
+    back; ``scales_of(x0)`` gives unit scales at the start clipped to
+    ``bounds``.  ``model(params, freqs)`` is S21 and ``jacobian(params,
+    freqs, f_center)`` the derivative of its stacked real/imaginary parts
+    with the phase at ``f_center`` (see :func:`_fit_variables`).
+
+    ``converged`` is False when the evaluation budget runs out or the
+    solution leaves the domain; the report then holds the start.  Returns
+    the report, without diagnostics or details, and the complex residuals.
+    Raises ParameterError for fewer than p + 3 points, SingularJacobianError
+    for a constant trace and NonConvergenceError if the solver fails.
+    """
+    n_params = len(names)
+    if len(trace) < n_params + 3:
+        raise ParameterError(f"need >= {n_params + 3} points to fit {n_params} parameters")
+    if np.ptp(trace.s21.real) == 0.0 and np.ptp(trace.s21.imag) == 0.0:
+        raise SingularJacobianError("trace is constant; nothing to fit")
+    guess = start()
+
+    lower, upper = bounds
+    x0 = np.minimum(np.maximum(to_vector(guess), lower), upper)
+    scales = scales_of(x0)
+    freqs, data = trace.freqs, trace.s21
+    f_center = float(np.mean(freqs))
+
+    def residuals(u):
+        diff = model(_params_at(u, scales, f_center, make_params), freqs) - data
+        return np.concatenate([diff.real, diff.imag])
+
+    def scaled_jacobian(u):
+        return jacobian(_params_at(u, scales, f_center, make_params), freqs, f_center) * scales
+
+    max_nfev = _MAX_ITERATIONS * (n_params + 1)
+    result = least_squares(residuals, _fit_variables(x0, scales, f_center),
+                           jac=scaled_jacobian, bounds=(lower / scales, upper / scales),
+                           method="trf", ftol=1e-14, xtol=1e-14, gtol=1e-14,
+                           max_nfev=max_nfev)
+    if result.status < 0 or not np.all(np.isfinite(result.x)):
+        raise NonConvergenceError(f"line-shape fit failed: {result.message}")
+
+    try:
+        params, in_domain = _params_at(result.x, scales, f_center, make_params), True
+    except ParameterError:
+        params, in_domain = guess, False
+    converged = bool(result.status > 0 and result.nfev < max_nfev and in_domain)
+
+    cov = covariance_matrix(result.jac, result.fun) * np.outer(scales, scales)
+    # phase_offset = phi_center - 2*pi*f_center*t_d: propagate linearly.
+    transform = np.eye(n_params)
+    transform[2, 1] = -TWO_PI * f_center
+    cov = transform @ cov @ transform.T
+    std_errors = {name: float(np.sqrt(max(cov[i, i], 0.0)))
+                  for i, name in enumerate(names)}
+    n = len(trace)
+    report = FitReport(params=params, std_errors=std_errors,
+                       residual_rms=float(np.sqrt(np.sum(result.fun**2) / n)),
+                       n_points=n, converged=converged)
+    return report, result.fun[:n] + 1j * result.fun[n:]
+
+
+def _line_shape_details(lin: LinearParams) -> dict:
+    """Derived scalars every line-shape fit reports."""
+    return {"q_i": lin.q_internal, "q_c": lin.q_coupling, "q_c_raw": raw_qc(lin),
+            "loaded_linewidth_hz": loaded_linewidth(lin)}
+
+
+def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None) -> FitReport:
     """Least-squares fit of the linear hanger model to one trace.
 
-    ``guess`` defaults to :func:`estimate_initial`.  ``converged`` is False
-    when the iteration budget is exhausted or the solution sits outside the
-    parameter domain.
+    ``guess`` defaults to :func:`estimate_initial`.  The solve is the shared
+    :func:`_fit_line_shape`; ``converged`` is False when the iteration
+    budget is exhausted or the solution sits outside the parameter domain.
 
     Raises
     ------
     ParameterError
-        Fewer than 10 points (under-determined for 7 parameters).
+        Fewer than 10 points (p + 3 for the 7 parameters).
+    SingularJacobianError
+        The trace is constant (checked before the initial estimate).
     NoResonanceError
         Propagated from the initial estimate.
-    SingularJacobianError
-        Degenerate data, e.g. all points identical.
     """
-    if len(trace) < 10:
-        raise ParameterError("need >= 10 points to fit 7 parameters")
-    if np.ptp(trace.s21.real) == 0.0 and np.ptp(trace.s21.imag) == 0.0:
-        raise SingularJacobianError("trace is constant; nothing to fit")
-    if guess is None:
-        guess = estimate_initial(trace)
+    report, resid = _fit_line_shape(
+        trace, _PARAM_NAMES, lambda: guess if guess is not None else estimate_initial(trace),
+        _params_to_vector, _vector_to_params, _linear_bounds(trace),
+        lambda x0: _linear_scales(x0, trace), eval_linear_s21, _linear_jacobian)
+    params = report.params
 
-    x0 = _params_to_vector(guess)
-    lower, upper = _linear_bounds(trace)
-    x0 = np.minimum(np.maximum(x0, lower + 0.0), upper)
-    scales = _linear_scales(x0, trace)
-    data = trace.s21
-    f_center = float(np.mean(trace.freqs))
-
-    # Two internal reparametrizations keep the problem well conditioned:
-    # unit-scale variables (the trust region is a ball in the fit
-    # variables, and the raw parameters range from ~1e-8 s delays to GHz
-    # frequencies), and the phase referenced to the window center (the raw
-    # offset compensates 2*pi*f*t_d with f at carrier scale, an extremely
-    # narrow valley).
-    x0[2] = x0[2] + TWO_PI * f_center * x0[1]
-
-    def to_params(u):
-        x = u * scales
-        return _vector_to_params(
-            np.array([x[0], x[1],
-                      math.remainder(x[2] - TWO_PI * f_center * x[1], TWO_PI),
-                      x[3], x[4], x[5], x[6]]))
-
-    def residuals(u):
-        model = eval_linear_s21(to_params(u), trace.freqs)
-        diff = model - data
-        return np.concatenate([diff.real, diff.imag])
-
-    def jacobian(u):
-        p = to_params(u)
-        dt, d_dt = _detuning_jacobian(p, trace.freqs)
-        return _line_shape_jacobian(p, trace.freqs, f_center,
-                                    1.0 + 2j * dt, 2j * d_dt) * scales
-
-    max_nfev = max_iterations * (x0.size + 1)
-    result = least_squares(residuals, x0 / scales, jac=jacobian,
-                           bounds=(lower / scales, upper / scales), method="trf",
-                           ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=max_nfev)
-
-    try:
-        params = to_params(result.x)
-        in_domain = True
-    except ParameterError:
-        params = guess
-        in_domain = False
-    converged = bool(result.status > 0 and result.nfev < max_nfev and in_domain)
-
-    cov_scaled = covariance_matrix(result.jac, result.fun)
-    cov = cov_scaled * np.outer(scales, scales)
-    # phase_offset = phi_center - 2*pi*f_center*t_d: propagate linearly.
-    transform = np.eye(x0.size)
-    transform[2, 1] = -TWO_PI * f_center
-    cov = transform @ cov @ transform.T
-    std_errors = {name: float(np.sqrt(max(cov[i, i], 0.0)))
-                  for i, name in enumerate(_PARAM_NAMES)}
-    n = len(trace)
-    residual_rms = float(np.sqrt(np.sum(result.fun**2) / n))
-
-    mag = np.abs(data)
-    wings = _wing_indices(n)
-    sigma = _noise_sigma(mag, wings)
+    sigma = _noise_sigma(np.abs(trace.s21), _wing_indices(len(trace)))
     snr = params.amplitude / sigma if sigma > 0 else np.inf
-    complex_resid = (result.fun[:n] + 1j * result.fun[n:])
-    autocorr = _residual_autocorr(complex_resid)
+    autocorr = _residual_autocorr(resid)
 
     diagnostics = set()
     if snr < 10.0:
         diagnostics.add("low_snr")
-    if autocorr > 0.5 and residual_rms > 3.0 * max(sigma, 1e-16):
+    if autocorr > 0.5 and report.residual_rms > 3.0 * max(sigma, 1e-16):
         diagnostics.add("nonlinear_suspected")
 
-    details = {
-        "q_i": params.q_internal,
-        "q_c": params.q_coupling,
-        "q_c_raw": raw_qc(params),
-        "loaded_linewidth_hz": loaded_linewidth(params),
-        "snr": float(snr),
-        "residual_autocorr_lag1": autocorr,
-    }
-    return FitReport(params=params, std_errors=std_errors, residual_rms=residual_rms,
-                     n_points=n, converged=converged, diagnostics=frozenset(diagnostics),
-                     details=details)
-
+    details = {**_line_shape_details(params), "snr": float(snr),
+               "residual_autocorr_lag1": autocorr}
+    return dataclasses.replace(report, diagnostics=frozenset(diagnostics), details=details)

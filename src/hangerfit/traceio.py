@@ -383,12 +383,15 @@ def _scan_touchstone(path: str, pair_index: int, drive: dict) -> FrequencyTrace:
             except ValueError:
                 raise MalformedRowError(f"non-numeric value in {line!r}", path, lineno)
             f_val = numbers[0] * unit_scale
+            first, second = numbers[1 + 2 * pair_index], numbers[2 + 2 * pair_index]
+            if not (math.isfinite(f_val) and math.isfinite(first) and math.isfinite(second)):
+                raise MalformedRowError("non-finite value", path, lineno)
             if freqs and f_val <= freqs[-1]:
                 raise NonMonotoneFrequencyError(
                     f"frequency {f_val!r} not above previous {freqs[-1]!r}", path, lineno)
             freqs.append(f_val)
-            firsts.append(numbers[1 + 2 * pair_index])
-            seconds.append(numbers[2 + 2 * pair_index])
+            firsts.append(first)
+            seconds.append(second)
 
     last_line = lineno
     if unit_scale is None:

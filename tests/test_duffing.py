@@ -8,18 +8,19 @@ import pytest
 from hangerfit import (
     BifurcationUnstableError,
     BranchPolicy,
+    FrequencyTrace,
     InsufficientPowersError,
     LinearParams,
     LowSignalError,
     NonlinearParams,
     ParameterError,
+    SingularJacobianError,
     ellipticity_metric,
     eval_linear_s21,
     eval_nonlinear_s21,
     extract_kerr_two_photon,
     fit_circle,
     fit_nonlinear,
-    loaded_linewidth,
     mean_photon_number,
     normalized_drive_params,
     photon_numbers,
@@ -28,12 +29,14 @@ from hangerfit import (
     synthesize_nonlinear,
 )
 from hangerfit.duffing import (
+    _nl_params,
+    _nl_scales,
     _nl_vector,
     _nonlinear_jacobian,
     branch_jump_indices,
     positive_cubic_roots,
 )
-from hangerfit.linearfit import _detuning_jacobian, _line_shape_jacobian
+from hangerfit.linearfit import _fit_variables, _linear_jacobian, _params_at
 
 from conftest import (
     bisection_roots,
@@ -300,26 +303,18 @@ class TestNonlinearJacobian:
         assert np.all(counts == 1)
 
         x = _nl_vector(p)
-        x[2] += TWO_PI * f_center * x[1]
-        # Unit-scaled variables as in fit_nonlinear.
-        span = float(self.FREQS[-1] - self.FREQS[0])
-        scales = np.array([x[0], 1.0 / (TWO_PI * span), 1.0, 0.3,
-                           loaded_linewidth(p.linear), x[5], x[6], abs(x[7]), x[8]])
+        trace = FrequencyTrace(freqs=self.FREQS,
+                               s21=eval_nonlinear_s21(p, self.FREQS, "sweep_up"))
+        scales = _nl_scales(x, trace, p.drive_flux)
 
         def params_at(u):
-            v = u * scales
-            lin = LinearParams(amplitude=v[0], electric_delay=v[1],
-                               phase_offset=v[2] - TWO_PI * f_center * v[1],
-                               fano_asymmetry=v[3], resonant_freq=v[4],
-                               internal_loss=v[5], coupling_loss=v[6])
-            return NonlinearParams(linear=lin, kerr=v[7], two_photon=v[8],
-                                   drive_flux=p.drive_flux)
+            return _params_at(u, scales, f_center, lambda v: _nl_params(v, p.drive_flux))
 
         def model(u):
             s21 = eval_nonlinear_s21(params_at(u), self.FREQS, "sweep_up")
             return np.concatenate([s21.real, s21.imag])
 
-        u = x / scales
+        u = _fit_variables(x, scales, f_center)
         jac = _nonlinear_jacobian(params_at(u), self.FREQS, f_center,
                                   BranchPolicy.SWEEP_UP) * scales
         reference = central_difference_jacobian(model, u)
@@ -330,9 +325,7 @@ class TestNonlinearJacobian:
         p = NonlinearParams(linear=lin, kerr=0.0, two_photon=0.0, drive_flux=1e12)
         f_center = float(np.mean(self.FREQS))
         jac = _nonlinear_jacobian(p, self.FREQS, f_center, BranchPolicy.SWEEP_UP)
-        dt, d_dt = _detuning_jacobian(lin, self.FREQS)
-        linear = _line_shape_jacobian(lin, self.FREQS, f_center, 1.0 + 2j * dt, 2j * d_dt)
-        np.testing.assert_array_equal(jac[:, :7], linear)
+        np.testing.assert_array_equal(jac[:, :7], _linear_jacobian(lin, self.FREQS, f_center))
 
 
 class TestEllipticityMetric:
@@ -347,7 +340,6 @@ class TestEllipticityMetric:
         lin = make_linear()
         freqs = np.linspace(lin.resonant_freq * (1 - 1e-3), lin.resonant_freq * (1 + 1e-3), 64)
         rng = np.random.default_rng(5)
-        from hangerfit import FrequencyTrace
         # Pure noise around the baseline: no resonance circle to speak of.
         s21 = 1.0 + 0.05 * (rng.normal(size=64) + 1j * rng.normal(size=64))
         trace = FrequencyTrace(freqs=freqs, s21=s21)
@@ -399,6 +391,14 @@ class TestFitNonlinear:
         report = fit_nonlinear(trace, guess, "sweep_up")
         assert "low_snr" in report.diagnostics
         assert report.std_errors["kerr"] >= abs(report.params.kerr)
+
+    def test_constant_trace_is_singular(self):
+        lin = make_linear()
+        freqs = np.linspace(lin.resonant_freq * (1 - 1e-3), lin.resonant_freq * (1 + 1e-3), 64)
+        trace = FrequencyTrace(freqs=freqs, s21=np.full(64, 0.5 + 0.5j))
+        guess = NonlinearParams(linear=lin, kerr=-1.5e3, two_photon=0.0, drive_flux=1e12)
+        with pytest.raises(SingularJacobianError):
+            fit_nonlinear(trace, guess)
 
     def test_bifurcated_flag_set_beyond_critical_drive(self):
         truth, trace = self.synthesize_case(-0.8, 0.0, 0.0, seed=3)

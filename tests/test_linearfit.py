@@ -1,7 +1,5 @@
 """Initial estimation and linear least squares."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,14 +12,18 @@ from hangerfit import (
     eval_linear_s21,
     estimate_initial,
     fit_linear,
+    fit_nonlinear,
     loaded_linewidth,
     synthesize_linear,
 )
+from hangerfit.duffing import seed_nonlinear_guess
 from hangerfit.linearfit import (
-    _detuning_jacobian,
-    _line_shape_jacobian,
+    _fit_variables,
+    _linear_jacobian,
     _linear_scales,
+    _params_at,
     _params_to_vector,
+    _vector_to_params,
 )
 
 from conftest import central_difference_jacobian, column_relative_errors
@@ -108,10 +110,15 @@ class TestFitLinear:
                            s21=np.ones(5, dtype=complex))
 
     def test_nine_point_trace_underdetermined(self):
+        # Both fits need p + 3 points for p parameters.
         p = make_params()
         trace = make_trace(p, n_points=9)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="need >= 10 points to fit 7 parameters"):
             fit_linear(trace)
+        trace = make_trace(p, n_points=11)
+        guess = seed_nonlinear_guess(trace, p, 1e12)
+        with pytest.raises(ParameterError, match="need >= 12 points to fit 9 parameters"):
+            fit_nonlinear(trace, guess)
 
     def test_amplitude_scale_invariance(self):
         # Noise-free: the minimum is sharp, so both fits land on it exactly
@@ -150,6 +157,12 @@ class TestFitLinear:
         with pytest.raises((SingularJacobianError, NoResonanceError)):
             fit_linear(trace, guess=make_params())
 
+    def test_constant_trace_is_singular_before_the_initial_estimate(self):
+        freqs = np.linspace(5e9 - 1e5, 5e9 + 1e5, 64)
+        trace = FrequencyTrace(freqs=freqs, s21=np.full(64, 0.5 + 0.5j))
+        with pytest.raises(SingularJacobianError):
+            fit_linear(trace)
+
     def test_low_snr_flagged(self):
         p = make_params()
         trace = make_trace(p, noise=0.2, seed=3)
@@ -164,25 +177,17 @@ class TestLinearJacobian:
         trace = make_trace(p, n_points=201)
         freqs = trace.freqs
         f_center = float(np.mean(freqs))
-        scales = _linear_scales(_params_to_vector(p), trace)
+        x = _params_to_vector(p)
+        scales = _linear_scales(x, trace)
 
-        # The fit's variables: unit-scaled, phase referenced to f_center.
         def params_at(u):
-            x = u * scales
-            return LinearParams(amplitude=x[0], electric_delay=x[1],
-                                phase_offset=x[2] - 2 * math.pi * f_center * x[1],
-                                fano_asymmetry=x[3], resonant_freq=x[4],
-                                internal_loss=x[5], coupling_loss=x[6])
+            return _params_at(u, scales, f_center, _vector_to_params)
 
         def model(u):
             s21 = eval_linear_s21(params_at(u), freqs)
             return np.concatenate([s21.real, s21.imag])
 
-        x = _params_to_vector(p)
-        x[2] += 2 * math.pi * f_center * x[1]
-        u = x / scales
-        dt, d_dt = _detuning_jacobian(params_at(u), freqs)
-        jac = _line_shape_jacobian(params_at(u), freqs, f_center,
-                                   1.0 + 2j * dt, 2j * d_dt) * scales
+        u = _fit_variables(x, scales, f_center)
+        jac = _linear_jacobian(params_at(u), freqs, f_center) * scales
         reference = central_difference_jacobian(model, u)
         assert np.all(column_relative_errors(jac, reference) <= 1e-5)

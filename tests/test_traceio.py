@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hangerfit import traceio
+from hangerfit.cli import main
 from hangerfit import (
     FitReport,
     FrequencyTrace,
@@ -235,6 +236,10 @@ def malformed_touchstone_cases():
             S2P_BODY.replace("0.96", "0.9x6"), MalformedRowError, 6),
         "non_monotone.s2p": (
             S2P_BODY.replace("5.003", "5.001"), NonMonotoneFrequencyError, 6),
+        "nan_s21.s2p": (
+            S2P_BODY.replace("0.96 0.04", "nan 0.04"), MalformedRowError, 6),
+        "inf_frequency.s2p": (
+            S2P_BODY.replace("5.004", "inf"), MalformedRowError, 7),
     }
 
 
@@ -263,6 +268,14 @@ class TestMalformedCorpus:
                 parse_touchstone(path)
         assert isinstance(err.value, TraceParseError)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("name", ["nan_s21.s2p", "inf_frequency.s2p"])
+    def test_non_finite_touchstone_value_is_input_error(self, tmp_path, capsys, name):
+        body, _, line = malformed_touchstone_cases()[name]
+        path = _write(tmp_path, name, body)
+        code = main(["fit-linear", str(path), "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert f"{path}:{line}: non-finite value" in capsys.readouterr().err
 
     def test_corpus_has_at_least_twenty_files(self):
         total = len(malformed_csv_cases()) + len(malformed_touchstone_cases())

@@ -21,7 +21,6 @@ from .duffing import (
     extract_kerr_two_photon,
     fit_circle,
     fit_nonlinear,
-    max_photon_number,
     normalized_drive_params,
     photon_numbers,
     seed_nonlinear_guess,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -46,7 +47,7 @@ from .errors import (
     ParameterError,
     TraceParseError,
 )
-from .linearfit import FitReport, estimate_initial, fit_linear
+from .linearfit import estimate_initial, fit_linear
 from .model import FrequencyTrace, LinearParams, TlsParams
 from .synth import linewidth_grid, synthesize_power_sweep
 from .tls import eval_tls_loss, fit_tls
@@ -96,23 +97,24 @@ def _load_trace(path: str, manifest: SweepManifest | None = None,
     return trace
 
 
-def _window_trace(trace: FrequencyTrace, window_linewidths: float) -> FrequencyTrace:
+def _window_trace(trace: FrequencyTrace, width: float) -> tuple[FrequencyTrace, LinearParams]:
+    """The points within ``width`` loaded linewidths centred on the dip (all
+    if fewer than 10), and the initial estimate that placed them."""
     guess = estimate_initial(trace)
-    half = 0.5 * window_linewidths * guess.resonant_freq * guess.total_loss
+    half = 0.5 * width * guess.resonant_freq * guess.total_loss
     sel = np.abs(trace.freqs - guess.resonant_freq) <= half
     if np.count_nonzero(sel) < 10:
-        return trace
+        return trace, guess
     return FrequencyTrace(freqs=trace.freqs[sel], s21=trace.s21[sel],
                           instrument_power=trace.instrument_power,
                           attenuation=trace.attenuation,
-                          temperature=trace.temperature, label=trace.label)
+                          temperature=trace.temperature, label=trace.label), guess
 
 
 def cmd_fit_linear(args) -> int:
     trace = _load_trace(args.trace)
-    if args.window > 0:
-        trace = _window_trace(trace, args.window)
-    report = fit_linear(trace)
+    trace, guess = _window_trace(trace, args.window) if args.window > 0 else (trace, None)
+    report = fit_linear(trace, guess)
     out = args.out or f"{args.trace}.report.json"
     provenance = {"command": "fit-linear",
                   "inputs": [os.path.basename(args.trace)],
@@ -187,7 +189,7 @@ def cmd_fit_sweep(args) -> int:
         else:
             points.append((n_bar, report.params.internal_loss,
                            report.std_errors["internal_loss"]))
-        reports.append(_report_with_details(report, details))
+        reports.append(dataclasses.replace(report, details=details))
         if args.verbose:
             print(f"power {power_dbm:g} dBm: n={n_bar:.4g} "
                   f"Q_i={report.params.q_internal:.5g} excluded={excluded}")
@@ -226,15 +228,6 @@ def cmd_fit_sweep(args) -> int:
           + (f" two_photon={tls_report.details['two_photon_hz']:.6g} Hz"
              if include_two_photon else ""))
     return 0
-
-
-def _report_with_details(report: FitReport, extra: dict) -> FitReport:
-    merged = dict(report.details)
-    merged.update(extra)
-    return FitReport(params=report.params, std_errors=report.std_errors,
-                     residual_rms=report.residual_rms, n_points=report.n_points,
-                     converged=report.converged, diagnostics=report.diagnostics,
-                     details=merged)
 
 
 def cmd_extract_kerr(args) -> int:
@@ -452,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fit the linear model to one trace")
     p_fit.add_argument("trace", help="CSV trace (or .s2p) path")
     p_fit.add_argument("--window", type=float, default=10.0,
-                       help="window half-width around the dip in linewidths "
-                            "(0 disables windowing; default 10)")
+                       help="fit the points within this many linewidths centred on "
+                            "the dip, starting from the estimate that placed the "
+                            "window (0 fits the whole trace; default 10)")
     p_fit.set_defaults(func=cmd_fit_linear)
 
     p_sweep = sub.add_parser("fit-sweep", parents=[out_flag],

@@ -51,6 +51,7 @@ from .linearfit import (
     _PARAM_NAMES,
     FitReport,
     _detuning_jacobian,
+    _dip_index,
     _fit_line_shape,
     _line_shape_details,
     _line_shape_jacobian,
@@ -59,7 +60,6 @@ from .linearfit import (
     _noise_sigma,
     _params_to_vector,
     _vector_to_params,
-    _wing_indices,
 )
 from .model import (
     FrequencyTrace,
@@ -75,7 +75,6 @@ __all__ = [
     "selected_photon_numbers",
     "eval_nonlinear_s21",
     "photon_numbers",
-    "max_photon_number",
     "fit_nonlinear",
     "seed_nonlinear_guess",
     "extract_kerr_two_photon",
@@ -306,12 +305,6 @@ def photon_numbers(p: NonlinearParams, freqs,
     return ntilde * atilde_sq
 
 
-def max_photon_number(p: NonlinearParams, freqs,
-                      policy: BranchPolicy | str = BranchPolicy.SWEEP_UP) -> float:
-    """Maximum selected-branch photon number over the grid."""
-    return float(np.max(photon_numbers(p, freqs, policy)))
-
-
 _NL_PARAM_NAMES = _PARAM_NAMES + ["kerr", "two_photon"]
 
 
@@ -345,7 +338,7 @@ def seed_nonlinear_guess(trace: FrequencyTrace, linear: LinearParams,
     n_est = 2.0 * atilde_sq
     kerr = 0.0
     if n_est > 0:
-        dip_freq = float(trace.freqs[int(np.argmin(np.abs(trace.s21)))])
+        dip_freq = float(trace.freqs[_dip_index(np.abs(trace.s21))])
         kerr = (dip_freq - linear.resonant_freq) / n_est
     return NonlinearParams(linear=linear, kerr=kerr, two_photon=0.0,
                            drive_flux=drive_flux)
@@ -540,7 +533,7 @@ def ellipticity_metric(trace: FrequencyTrace, linear_fit: LinearParams) -> float
     z = trace.s21 / env
     center, radius = fit_circle(z)
 
-    sigma = _noise_sigma(np.abs(z), _wing_indices(z.size))
+    sigma = _noise_sigma(z)
     if sigma > 0 and radius < 5.0 * sigma:
         raise LowSignalError(
             f"circle radius {radius:.3g} below noise floor {5.0 * sigma:.3g}")

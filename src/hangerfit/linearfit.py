@@ -11,8 +11,9 @@ module's :func:`fit_linear` and :func:`hangerfit.duffing.fit_nonlinear`
 parameters, raises :class:`SingularJacobianError` on a constant trace, and
 owns the scaled variables, the solve and the standard errors.
 
-The fit window is the trace as given; narrowing it to the dip is the
-caller's step (``hangerfit fit-linear --window``).
+Every caller shares one noise estimate (:func:`_noise_sigma`) and one dip
+locator (:func:`_dip_index`).  Narrowing the fit window to the dip is the
+caller's step (``hangerfit fit-linear --window``); its estimate seeds the fit.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ __all__ = [
 ]
 
 # Fraction of points on each side of the window treated as off-resonant
-# baseline when estimating amplitude, delay and noise.
+# baseline when estimating the amplitude and the cable delay.
 _WING_FRACTION = 0.10
 
-# Dips shallower than 3 sigma of the baseline noise are not resonances.
+# Dips shallower than 3 sigma of the noise are not resonances.
 _MIN_DIP_SIGMA = 3.0
 
 
@@ -107,19 +108,35 @@ def _wing_indices(n: int) -> np.ndarray:
     return np.concatenate([np.arange(k), np.arange(n - k, n)])
 
 
-def _noise_sigma(mag: np.ndarray, wings: np.ndarray) -> float:
-    wing_mag = mag[wings]
-    return 1.4826 * float(np.median(np.abs(wing_mag - np.median(wing_mag))))
+def _noise_sigma(s21: np.ndarray) -> float:
+    """Per-quadrature noise sigma: the MAD of the second differences of the
+    real and imaginary parts over sqrt(6), in which a smooth background
+    (cable delay, Fano slope, the line shape off its steep core) cancels."""
+    d2 = np.diff(s21, 2)
+    parts = np.concatenate([d2.real, d2.imag])
+    return 1.4826 * float(np.median(np.abs(parts - np.median(parts)))) / math.sqrt(6.0)
+
+
+def _dip_index(mag: np.ndarray) -> int:
+    """Index of the dip in ``mag``: an edge-padded moving average places it,
+    so no single noisy point and no end poses as one; the raw minimum within
+    one kernel of that place is the answer."""
+    n = mag.size
+    kernel = min(5, n // 4 * 2 + 1)
+    padded = np.pad(mag, kernel // 2, mode="edge")
+    center = int(np.argmin(np.convolve(padded, np.ones(kernel) / kernel, mode="valid")))
+    lo, hi = max(center - kernel, 0), min(center + kernel + 1, n)
+    return lo + int(np.argmin(mag[lo:hi]))
 
 
 def estimate_initial(trace: FrequencyTrace) -> LinearParams:
     """Heuristic starting point for :func:`fit_linear`.
 
     The guess locates the dip, reads the loaded linewidth from the
-    full-width-half-depth of |S21|^2, splits the losses from the dip depth,
-    and estimates the electric delay from the off-resonant wing phase
-    (including a 1/detuning term so the resonance's own wing phase does not
-    leak into the delay).
+    full-width-half-depth of |S21|^2, and splits the losses from the dip
+    depth.  The off-resonant wings give only the baseline amplitude and the
+    electric delay (their phase, with a 1/detuning term so the resonance's
+    own wing phase does not leak into the delay).
 
     Raises
     ------
@@ -134,14 +151,8 @@ def estimate_initial(trace: FrequencyTrace) -> LinearParams:
     baseline = float(np.median(mag[wings]))
     if baseline <= 0:
         raise NoResonanceError("baseline magnitude is zero")
-    sigma = _noise_sigma(mag, wings)
-
-    # Light smoothing so single noisy points do not pose as dips.
-    kernel = min(5, n // 4 * 2 + 1)
-    smooth = np.convolve(mag, np.ones(kernel) / kernel, mode="same") if kernel >= 3 else mag
-    dip_idx = int(np.argmin(smooth))
-    lo_r, hi_r = max(dip_idx - kernel, 0), min(dip_idx + kernel + 1, n)
-    dip_idx = lo_r + int(np.argmin(mag[lo_r:hi_r]))
+    sigma = _noise_sigma(trace.s21)
+    dip_idx = _dip_index(mag)
     dip_mag = float(mag[dip_idx])
 
     depth = baseline - dip_mag
@@ -404,7 +415,7 @@ def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None) -> FitR
         lambda x0: _linear_scales(x0, trace), eval_linear_s21, _linear_jacobian)
     params = report.params
 
-    sigma = _noise_sigma(np.abs(trace.s21), _wing_indices(len(trace)))
+    sigma = _noise_sigma(trace.s21)
     snr = params.amplitude / sigma if sigma > 0 else np.inf
     autocorr = _residual_autocorr(resid)
 

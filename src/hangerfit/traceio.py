@@ -254,8 +254,10 @@ def _touchstone_s21(first: np.ndarray, second: np.ndarray, fmt: str) -> np.ndarr
         values.real = first
         values.imag = second
         return values
-    magnitude = first if fmt == "MA" else 10.0 ** (first / 20.0)
-    return magnitude * np.exp(1j * np.radians(second))
+    # A huge DB magnitude overflows to inf; callers reject non-finite values.
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = first if fmt == "MA" else 10.0 ** (first / 20.0)
+        return magnitude * np.exp(1j * np.radians(second))
 
 
 def _touchstone_options(line: str, path: str, lineno: int) -> tuple[float, str]:
@@ -384,7 +386,8 @@ def _scan_touchstone(path: str, pair_index: int, drive: dict) -> FrequencyTrace:
                 raise MalformedRowError(f"non-numeric value in {line!r}", path, lineno)
             f_val = numbers[0] * unit_scale
             first, second = numbers[1 + 2 * pair_index], numbers[2 + 2 * pair_index]
-            if not (math.isfinite(f_val) and math.isfinite(first) and math.isfinite(second)):
+            if not (math.isfinite(f_val) and math.isfinite(first) and math.isfinite(second)
+                    and np.isfinite(_touchstone_s21(np.array(first), np.array(second), fmt))):
                 raise MalformedRowError("non-finite value", path, lineno)
             if freqs and f_val <= freqs[-1]:
                 raise NonMonotoneFrequencyError(

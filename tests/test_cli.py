@@ -13,7 +13,9 @@ import pytest
 import hangerfit
 from hangerfit import (
     LinearParams,
+    estimate_initial,
     linewidth_grid,
+    loaded_linewidth,
     parse_csv_trace,
     parse_manifest,
     read_report,
@@ -38,10 +40,10 @@ def write_flat_trace(path, power_dbm=-60.0):
     path.write_text("\n".join(body) + "\n")
 
 
-def write_single_trace(path):
+def write_single_trace(path, coupling_loss=1e-6):
     p = LinearParams(amplitude=0.9, electric_delay=12e-9, phase_offset=0.4,
                      fano_asymmetry=0.15, resonant_freq=5e9,
-                     internal_loss=5e-7, coupling_loss=1e-6)
+                     internal_loss=5e-7, coupling_loss=coupling_loss)
     freqs = linewidth_grid(p, span_linewidths=12.0, n_points=401)
     trace = synthesize_linear(p, freqs, 0.005, seed=31, instrument_power=-60.0,
                               attenuation=74.0, temperature=0.01, label="R1")
@@ -107,17 +109,36 @@ def third_power(manifest_path):
 
 class TestFitLinearCommand:
     def test_success_writes_report_and_summary(self, tmp_path, capsys):
+        # Overcoupled (Q_c/Q_i = 0.5) and undercoupled (Q_c/Q_i = 3) traces.
+        for coupling_loss in (1e-6, 5e-7 / 3.0):
+            trace_path = tmp_path / "trace.csv"
+            truth = write_single_trace(trace_path, coupling_loss)
+            out = tmp_path / "report.json"
+            assert run(["fit-linear", trace_path, "--out", out]) == 0
+            reports, meta = read_report(out)
+            assert len(reports) == 1
+            assert reports[0].params.resonant_freq == pytest.approx(
+                truth.resonant_freq, abs=0.1 * loaded_linewidth(truth))
+            assert reports[0].details["q_c_raw"] > reports[0].details["q_c"]
+            assert meta["provenance"]["input_digest"].startswith("sha256:")
+            assert "Q_i=" in capsys.readouterr().out
+
+    def test_window_estimate_seeds_the_fit(self, tmp_path, monkeypatch):
+        # The estimate that places the window is the fit's starting point:
+        # a windowed fit-linear estimates once.
+        calls = []
+
+        def counted(trace):
+            calls.append(len(trace))
+            return estimate_initial(trace)
+
+        monkeypatch.setattr(hangerfit.cli, "estimate_initial", counted)
+        monkeypatch.setattr(hangerfit.linearfit, "estimate_initial", counted)
         trace_path = tmp_path / "trace.csv"
-        truth = write_single_trace(trace_path)
-        out = tmp_path / "report.json"
-        assert run(["fit-linear", trace_path, "--out", out]) == 0
-        reports, meta = read_report(out)
-        assert len(reports) == 1
-        assert reports[0].params.resonant_freq == pytest.approx(
-            truth.resonant_freq, abs=0.1 * 7.5e3)
-        assert reports[0].details["q_c_raw"] > reports[0].details["q_c"]
-        assert meta["provenance"]["input_digest"].startswith("sha256:")
-        assert "Q_i=" in capsys.readouterr().out
+        write_single_trace(trace_path)
+        assert run(["fit-linear", trace_path, "--window", 4,
+                    "--out", tmp_path / "report.json"]) == 0
+        assert calls == [401]
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert run(["fit-linear", tmp_path / "nope.csv"]) == 2

@@ -21,6 +21,7 @@ from hangerfit.linearfit import (
     _fit_variables,
     _linear_jacobian,
     _linear_scales,
+    _noise_sigma,
     _params_at,
     _params_to_vector,
     _vector_to_params,
@@ -65,6 +66,34 @@ class TestEstimateInitial:
         trace = make_trace(p, span_linewidths=30.0, n_points=1201, noise=0.002, seed=4)
         guess = estimate_initial(trace)
         assert guess.electric_delay == pytest.approx(50e-9, rel=0.10)
+
+
+class TestNoiseSigma:
+    @pytest.mark.parametrize("span_linewidths, n_points", [(10.0, 401), (1000.0, 40001)])
+    @pytest.mark.parametrize("noise", [1e-4, 1e-2])
+    @pytest.mark.parametrize("fano", [-0.5, 0.5])
+    @pytest.mark.parametrize("delay", [0.0, 100e-9])
+    def test_reads_the_true_sigma(self, delay, fano, noise, span_linewidths, n_points):
+        # Cable delay and Fano slope cancel in second differences; the line
+        # shape's own curvature reads high only on a coarse 401-point grid.
+        p = make_params(electric_delay=delay, fano_asymmetry=fano, phase_offset=0.4)
+        trace = make_trace(p, span_linewidths, n_points, noise=noise, seed=0)
+        assert 0.8 <= _noise_sigma(trace.s21) / noise <= 1.35
+
+
+class TestCouplingRange:
+    @pytest.mark.parametrize("delay", [0.0, 50e-9])
+    @pytest.mark.parametrize("fano", [-0.3, 0.3])
+    @pytest.mark.parametrize("qc_over_qi", [0.1, 1.0, 1.5, 3.0, 10.0, 100.0])
+    def test_recovers_q_i_and_q_c(self, qc_over_qi, fano, delay):
+        # Undercoupled dips (Q_c/Q_i >= 1.5) are shallow: the initial estimate
+        # must neither lose them to an edge nor to an inflated noise reading.
+        # 2001 points make 5 % at least 4 standard errors at Q_c/Q_i = 100.
+        p = make_params(internal_loss=1e-6, coupling_loss=1e-6 / qc_over_qi,
+                        fano_asymmetry=fano, electric_delay=delay, phase_offset=0.4)
+        report = fit_linear(make_trace(p, n_points=2001, noise=1e-3, seed=0))
+        assert report.params.q_internal == pytest.approx(p.q_internal, rel=0.05)
+        assert report.details["q_c"] == pytest.approx(p.q_coupling, rel=0.05)
 
 
 class TestFitLinear:

@@ -203,6 +203,12 @@ def malformed_csv_cases():
     return cases
 
 
+# Ten DB rows in Hz; the row at line 6 has an S21 magnitude of 7000 dB.
+S2P_DB_BODY = "# Hz S DB R 50\n" + "".join(
+    f"{5e9 + k * 1e3:.0f} -20 0 {7000 if k == 4 else -1} {10 * k} -40 0 -20 0\n"
+    for k in range(10))
+
+
 def malformed_touchstone_cases():
     """name -> (file body, error class, line the error names)."""
     return {
@@ -240,6 +246,7 @@ def malformed_touchstone_cases():
             S2P_BODY.replace("0.96 0.04", "nan 0.04"), MalformedRowError, 6),
         "inf_frequency.s2p": (
             S2P_BODY.replace("5.004", "inf"), MalformedRowError, 7),
+        "huge_db_magnitude.s2p": (S2P_DB_BODY, MalformedRowError, 6),
     }
 
 
@@ -269,7 +276,8 @@ class TestMalformedCorpus:
         assert isinstance(err.value, TraceParseError)
         assert err.value.line == line
 
-    @pytest.mark.parametrize("name", ["nan_s21.s2p", "inf_frequency.s2p"])
+    @pytest.mark.parametrize("name", ["nan_s21.s2p", "inf_frequency.s2p",
+                                      "huge_db_magnitude.s2p"])
     def test_non_finite_touchstone_value_is_input_error(self, tmp_path, capsys, name):
         body, _, line = malformed_touchstone_cases()[name]
         path = _write(tmp_path, name, body)

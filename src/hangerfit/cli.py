@@ -226,7 +226,8 @@ def cmd_fit_sweep(args) -> int:
     print(f"{manifest.label}: Q_TLS={t.q_tls:.6g} n_c={t.n_c:.6g} "
           f"alpha={t.alpha_tls:.4g} delta_0={t.delta_0:.6g}"
           + (f" two_photon={tls_report.details['two_photon_hz']:.6g} Hz"
-             if include_two_photon else ""))
+             if include_two_photon else "")
+          + f" converged={tls_report.converged}")
     return 0
 
 

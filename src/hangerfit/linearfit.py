@@ -1,15 +1,13 @@
-"""Linear line-shape fitting: initial estimation and least squares.
+"""Linear line-shape fitting, and the least-squares core of every fit.
 
-The fit minimizes the stacked real/imaginary residuals of the model in
-:mod:`hangerfit.model` with a damped (trust-region) least-squares solver
-and the exact, analytic Jacobian of the line shape.  Standard errors come
-from the Jacobian covariance scaled by the residual variance.
-
-:func:`_fit_line_shape` is the one solver of both line-shape fits, this
-module's :func:`fit_linear` and :func:`hangerfit.duffing.fit_nonlinear`
-(the linear fit vector plus two rates).  It needs p + 3 points for p
-parameters, raises :class:`SingularJacobianError` on a constant trace, and
-owns the scaled variables, the solve and the standard errors.
+:func:`_solve` is the one least-squares core of all three fits (this
+module's :func:`fit_linear`, :func:`hangerfit.duffing.fit_nonlinear` and
+:func:`hangerfit.tls.fit_tls`): a trust-region solve in unit-scaled
+variables with an exact Jacobian, one evaluation budget, one failure policy
+and standard errors from the Jacobian covariance.  :func:`_fit_line_shape`
+is the line-shape work of the first two: it needs p + 3 points for p
+parameters, raises :class:`SingularJacobianError` on a constant trace,
+references the phase to the window centre and reports.
 
 Every caller shares one noise estimate (:func:`_noise_sigma`) and one dip
 locator (:func:`_dip_index`).  Narrowing the fit window to the dip is the
@@ -45,7 +43,6 @@ __all__ = [
     "FitReport",
     "estimate_initial",
     "fit_linear",
-    "covariance_std_errors",
 ]
 
 # Fraction of points on each side of the window treated as off-resonant
@@ -74,33 +71,6 @@ class FitReport:
     converged: bool = False
     diagnostics: frozenset = frozenset()
     details: dict = field(default_factory=dict)
-
-
-def covariance_matrix(jac: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """Parameter covariance from a least-squares Jacobian at the solution.
-
-    Uses the SVD pseudo-inverse of J^T J scaled by the residual variance;
-    directions the data does not constrain get variances from the rank
-    tolerance (large but finite).
-    """
-    m, p = jac.shape
-    dof = max(m - p, 1)
-    s_squared = float(np.sum(residuals**2)) / dof
-    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        raise SingularJacobianError("Jacobian is identically zero")
-    tol = sv[0] * max(m, p) * np.finfo(float).eps
-    inv_sv2 = 1.0 / np.maximum(sv, tol) ** 2
-    return (vt.T * inv_sv2) @ vt * s_squared
-
-
-def covariance_std_errors(jac: np.ndarray, residuals: np.ndarray,
-                          names: list[str]) -> dict:
-    """Standard errors (sqrt of the covariance diagonal) keyed by name."""
-    if len(names) != jac.shape[1]:
-        raise ValueError("one name per column required")
-    diag = np.diag(covariance_matrix(jac, residuals))
-    return {name: float(np.sqrt(max(c, 0.0))) for name, c in zip(names, diag)}
 
 
 def _wing_indices(n: int) -> np.ndarray:
@@ -209,8 +179,8 @@ def estimate_initial(trace: FrequencyTrace) -> LinearParams:
 _PARAM_NAMES = ["amplitude", "electric_delay", "phase_offset", "fano_asymmetry",
                 "resonant_freq", "internal_loss", "coupling_loss"]
 
-# Iteration budget of a line-shape fit: the solver stops after this many
-# times (fit parameters + 1) residual evaluations.
+# Iteration budget of every fit: :func:`_solve` stops after this many times
+# (fit parameters + 1) residual evaluations.
 _MAX_ITERATIONS = 200
 
 
@@ -243,22 +213,18 @@ def _linear_scales(x0: np.ndarray, trace: FrequencyTrace) -> np.ndarray:
                      linewidth, x0[5], x0[6]])
 
 
-def _fit_variables(x: np.ndarray, scales: np.ndarray, f_center: float) -> np.ndarray:
-    """Fit variables of parameter vector ``x``; inverse of :func:`_params_at`.
-
-    Unit scales make the trust region a ball (raw parameters range from ~1e-8
-    s delays to GHz frequencies), and the phase is referenced to the window
-    centre (the raw offset compensates 2*pi*f*t_d at carrier f, an extremely
-    narrow valley).
-    """
+def _fit_variables(x: np.ndarray, f_center: float) -> np.ndarray:
+    """Line-shape vector ``x`` with the phase at the window centre (the raw
+    offset compensates 2*pi*f*t_d at carrier f, an extremely narrow valley);
+    inverse of :func:`_params_at`."""
     x = x.copy()
     x[2] = x[2] + TWO_PI * f_center * x[1]
-    return x / scales
+    return x
 
 
-def _params_at(u: np.ndarray, scales: np.ndarray, f_center: float, make_params):
-    """Parameters at fit variables ``u`` (see :func:`_fit_variables`)."""
-    x = u * scales
+def _params_at(x: np.ndarray, f_center: float, make_params):
+    """Parameters at centred vector ``x`` (see :func:`_fit_variables`)."""
+    x = x.copy()
     x[2] = math.remainder(x[2] - TWO_PI * f_center * x[1], TWO_PI)
     return make_params(x)
 
@@ -320,6 +286,42 @@ def _residual_autocorr(resid: np.ndarray) -> float:
     return float(np.abs(np.sum(resid[:-1] * np.conj(resid[1:]))) / power)
 
 
+def _solve(residuals, jacobian, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
+           scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The least-squares core of every fit: minimize ``residuals(x)``, with
+    exact Jacobian ``jacobian(x)``, from ``x0`` within ``bounds``.
+
+    The solve runs in the unit-scaled variables ``x/scales``, so the trust
+    region is a ball (raw parameters range from ~1e-8 s delays to GHz
+    frequencies), within :data:`_MAX_ITERATIONS` * (parameters + 1)
+    residual evaluations.  Returns ``(x, covariance, residuals,
+    converged)``: the covariance, in raw units, is the SVD pseudo-inverse of
+    J^T J times the residual variance, so a direction the data does not
+    constrain gets a large but finite variance; ``converged`` is False when
+    the budget runs out.  Raises NonConvergenceError if the solver fails
+    outright or returns non-finite values, SingularJacobianError if the
+    Jacobian at the solution is zero.
+    """
+    max_nfev = _MAX_ITERATIONS * (x0.size + 1)
+    result = least_squares(lambda u: residuals(u * scales), x0 / scales,
+                           jac=lambda u: jacobian(u * scales) * scales,
+                           bounds=(bounds[0] / scales, bounds[1] / scales),
+                           method="trf", ftol=1e-14, xtol=1e-14, gtol=1e-14,
+                           max_nfev=max_nfev)
+    if result.status < 0 or not np.all(np.isfinite(result.x)):
+        raise NonConvergenceError(f"least-squares fit failed: {result.message}")
+
+    m, p = result.jac.shape
+    s_squared = float(np.sum(result.fun**2)) / max(m - p, 1)
+    _, sv, vt = np.linalg.svd(result.jac, full_matrices=False)
+    if sv.size == 0 or sv[0] <= 0.0:
+        raise SingularJacobianError("Jacobian is identically zero")
+    inv_sv2 = 1.0 / np.maximum(sv, sv[0] * max(m, p) * np.finfo(float).eps) ** 2
+    cov = (vt.T * inv_sv2) @ vt * s_squared * np.outer(scales, scales)
+    converged = bool(result.status > 0 and result.nfev < max_nfev)
+    return result.x * scales, cov, result.fun, converged
+
+
 def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
                     make_params, bounds: tuple[np.ndarray, np.ndarray], scales_of,
                     model, jacobian) -> tuple[FitReport, np.ndarray]:
@@ -331,7 +333,8 @@ def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
     back; ``scales_of(x0)`` gives unit scales at the start clipped to
     ``bounds``.  ``model(params, freqs)`` is S21 and ``jacobian(params,
     freqs, f_center)`` the derivative of its stacked real/imaginary parts
-    with the phase at ``f_center`` (see :func:`_fit_variables`).
+    with the phase at ``f_center`` (see :func:`_fit_variables`).  The solve
+    is :func:`_solve`.
 
     ``converged`` is False when the evaluation budget runs out or the
     solution leaves the domain; the report then holds the start.  Returns
@@ -348,32 +351,21 @@ def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
 
     lower, upper = bounds
     x0 = np.minimum(np.maximum(to_vector(guess), lower), upper)
-    scales = scales_of(x0)
     freqs, data = trace.freqs, trace.s21
     f_center = float(np.mean(freqs))
 
-    def residuals(u):
-        diff = model(_params_at(u, scales, f_center, make_params), freqs) - data
+    def residuals(x):
+        diff = model(_params_at(x, f_center, make_params), freqs) - data
         return np.concatenate([diff.real, diff.imag])
 
-    def scaled_jacobian(u):
-        return jacobian(_params_at(u, scales, f_center, make_params), freqs, f_center) * scales
-
-    max_nfev = _MAX_ITERATIONS * (n_params + 1)
-    result = least_squares(residuals, _fit_variables(x0, scales, f_center),
-                           jac=scaled_jacobian, bounds=(lower / scales, upper / scales),
-                           method="trf", ftol=1e-14, xtol=1e-14, gtol=1e-14,
-                           max_nfev=max_nfev)
-    if result.status < 0 or not np.all(np.isfinite(result.x)):
-        raise NonConvergenceError(f"line-shape fit failed: {result.message}")
-
+    x, cov, resid, converged = _solve(
+        residuals, lambda x: jacobian(_params_at(x, f_center, make_params), freqs, f_center),
+        _fit_variables(x0, f_center), bounds, scales_of(x0))
     try:
-        params, in_domain = _params_at(result.x, scales, f_center, make_params), True
+        params = _params_at(x, f_center, make_params)
     except ParameterError:
-        params, in_domain = guess, False
-    converged = bool(result.status > 0 and result.nfev < max_nfev and in_domain)
+        params, converged = guess, False
 
-    cov = covariance_matrix(result.jac, result.fun) * np.outer(scales, scales)
     # phase_offset = phi_center - 2*pi*f_center*t_d: propagate linearly.
     transform = np.eye(n_params)
     transform[2, 1] = -TWO_PI * f_center
@@ -382,9 +374,9 @@ def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
                   for i, name in enumerate(names)}
     n = len(trace)
     report = FitReport(params=params, std_errors=std_errors,
-                       residual_rms=float(np.sqrt(np.sum(result.fun**2) / n)),
+                       residual_rms=float(np.sqrt(np.sum(resid**2) / n)),
                        n_points=n, converged=converged)
-    return report, result.fun[:n] + 1j * result.fun[n:]
+    return report, resid[:n] + 1j * resid[n:]
 
 
 def _line_shape_details(lin: LinearParams) -> dict:

@@ -8,6 +8,8 @@ seeded, so test vectors are reproducible across platforms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .calibration import dbm_to_watts, input_photon_flux, mean_photon_number
@@ -72,6 +74,32 @@ def synthesize_nonlinear(p: NonlinearParams, freqs,
                           temperature=temperature, label=label)
 
 
+def _self_consistent_photon_number(power_w: float, linear: LinearParams,
+                                   tls: TlsParams) -> float:
+    """Mean photon number n that solves n = n_bar(P, delta_i(n)).
+
+    ``n_bar`` falls as the internal loss grows and the TLS loss falls as n
+    grows, so n_bar at the loss of zero photons and n_bar at ``delta_0``
+    bracket the root; bisection in log n closes the bracket to adjacent
+    floats.
+    """
+    n_ref = mean_photon_number(power_w, linear)
+
+    def n_bar(delta_i: float) -> float:
+        # n_bar is proportional to delta_c/(delta_i + delta_c)**2.
+        return n_ref * (linear.total_loss / (delta_i + linear.coupling_loss)) ** 2
+
+    lo, hi = n_bar(float(eval_tls_loss(tls, 0.0))), n_bar(tls.delta_0)
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            return lo
+        if n_bar(float(eval_tls_loss(tls, mid))) > mid:
+            lo = mid
+        else:
+            hi = mid
+
+
 def synthesize_power_sweep(linear: LinearParams, tls: TlsParams, kerr: float,
                            two_photon: float, instrument_powers, attenuation: float,
                            freqs, seed=0, noise_sigma: float = 0.0,
@@ -79,12 +107,11 @@ def synthesize_power_sweep(linear: LinearParams, tls: TlsParams, kerr: float,
                            label: str = "synthetic") -> list[FrequencyTrace]:
     """One trace per instrument power with TLS-saturating internal loss.
 
-    Per power the mean photon number is computed from the *given* (low
-    power) ``linear.internal_loss``, the internal loss is then set to the
-    TLS model at that photon number, and a nonlinear trace is generated at
-    the calibrated drive flux.  This is a one-pass coupling: the photon
-    number itself depends weakly on the internal loss, and no
-    self-consistent iteration is attempted.
+    Per power the internal loss is the TLS model at the mean photon number
+    that this same loss produces: n solves n = n_bar(P, delta_i(n)) (the
+    ``internal_loss`` of ``linear`` is not used), which is the pair an
+    analysis reads back from the fitted loss at each power.  A nonlinear
+    trace is generated at the calibrated drive flux.
 
     Child seeds are derived as ``default_rng([seed, index])`` so each
     power's noise is independent yet reproducible.
@@ -95,7 +122,7 @@ def synthesize_power_sweep(linear: LinearParams, tls: TlsParams, kerr: float,
     traces = []
     for k, power_dbm in enumerate(powers):
         power_w = dbm_to_watts(float(power_dbm) - attenuation)
-        n_bar = mean_photon_number(power_w, linear)
+        n_bar = _self_consistent_photon_number(power_w, linear, tls)
         delta_i = float(eval_tls_loss(tls, n_bar))
         lin_k = LinearParams(amplitude=linear.amplitude,
                              electric_delay=linear.electric_delay,

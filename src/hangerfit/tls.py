@@ -11,16 +11,18 @@ exponent):
 Fits run on log10(delta_i) residuals: sweeps span many decades in photon
 number and loss, and linear-space residuals would let the lossiest points
 dominate.  An optional two-photon term ``two_photon*n/f_r`` models loss
-that *grows* with photon number.
+that *grows* with photon number.  The solve is the package's one
+least-squares core (``linearfit._solve``) with the closed-form Jacobian of
+the log10 residuals; like the line-shape fits, a fit that runs out of its
+evaluation budget reports ``converged=False`` rather than raising.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .errors import InsufficientSpanError, NonConvergenceError, ParameterError
-from .linearfit import FitReport, covariance_std_errors
+from .errors import InsufficientSpanError, ParameterError
+from .linearfit import FitReport, _solve
 from .model import TlsParams, thermal_tanh_factor
 
 __all__ = ["eval_tls_loss", "eval_combined_loss", "fit_tls"]
@@ -49,16 +51,37 @@ def eval_combined_loss(t: TlsParams, two_photon: float, photon_number) -> np.nda
     return loss if np.ndim(loss) else float(loss)
 
 
-def _tls_model(x: np.ndarray, n: np.ndarray, tanh_factor: float, f_r: float,
-               include_two_photon: bool) -> np.ndarray:
+_LN10 = float(np.log(10.0))
+
+
+def _tls_model(x: np.ndarray, n: np.ndarray, tanh_factor: float, f_r: float) -> np.ndarray:
+    """Loss at fit vector ``x`` (TLS amplitude, log10 n_c, alpha, delta_0 and,
+    when present, the two-photon rate)."""
     tls_amp, log10_nc, alpha, delta_0 = x[:4]
     loss = tls_amp * tanh_factor / (1.0 + n / 10.0**log10_nc) ** alpha + delta_0
-    if include_two_photon:
+    if x.size > 4:
         loss = loss + x[4] * n / f_r
     return loss
 
 
-def _initial_guess(n: np.ndarray, loss: np.ndarray, tanh_factor: float) -> np.ndarray:
+def _tls_jacobian(x: np.ndarray, n: np.ndarray, tanh_factor: float, f_r: float) -> np.ndarray:
+    """Exact Jacobian of the log10 residuals: column j is d(model)/dx_j over
+    ln10*model."""
+    tls_amp, log10_nc, alpha, _ = x[:4]
+    ratio = n / 10.0**log10_nc
+    shape = tanh_factor / (1.0 + ratio) ** alpha
+    tls = tls_amp * shape
+    columns = [shape, _LN10 * alpha * tls * ratio / (1.0 + ratio),
+               -tls * np.log1p(ratio), np.ones(n.size)]
+    if x.size > 4:
+        columns.append(n / f_r)
+    model = np.maximum(_tls_model(x, n, tanh_factor, f_r), 1e-300)
+    return np.column_stack(columns) / (_LN10 * model)[:, None]
+
+
+def _tls_start(n: np.ndarray, loss: np.ndarray, tanh_factor: float, f_r: float,
+               include_two_photon: bool) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Starting vector, bounds and unit scales of the TLS fit."""
     order = np.argsort(n)
     n_sorted, loss_sorted = n[order], loss[order]
     # High-power tail approximates the power-independent floor.
@@ -73,8 +96,18 @@ def _initial_guess(n: np.ndarray, loss: np.ndarray, tanh_factor: float) -> np.nd
         n_c = float(np.sqrt(max(n_sorted[idx], 1e-12) * max(n_sorted[idx + 1], 1e-12)))
     else:
         n_c = float(np.sqrt(max(n_sorted[0], 1e-3) * n_sorted[-1]))
-    return np.array([min(amp, 0.99), np.log10(min(max(n_c, 1e-6), 1e15)), 0.5,
-                     min(max(delta_0, 0.0), 0.99)])
+    x0 = [min(amp, 0.99), np.log10(min(max(n_c, 1e-6), 1e15)), 0.5,
+          min(max(delta_0, 0.0), 0.99)]
+    lower = [0.0, -6.0, 1e-6, 0.0]
+    upper = [1.0, 16.0, 2.0, 1.0]
+    scales = [max(x0[0], 1e-9), 1.0, 0.3, max(x0[3], 1e-9)]
+    if include_two_photon:
+        x0.append(1e-3)
+        lower.append(0.0)
+        upper.append(1e12)
+        scales.append(max(float(np.max(loss)) * f_r / max(np.max(n), 1.0), 1e-3))
+    return (np.array(x0, dtype=float), (np.array(lower), np.array(upper)),
+            np.array(scales, dtype=float))
 
 
 def fit_tls(photon_numbers, losses, temperature: float, f_r: float,
@@ -100,13 +133,15 @@ def fit_tls(photon_numbers, losses, temperature: float, f_r: float,
         raw TLS amplitude ``1/q_tls`` and its standard error are reported in
         ``details`` so a power-independent device can be recognized as
         "amplitude consistent with zero" without dividing by it.
+        ``converged`` is False when the evaluation budget runs out.
 
     Raises
     ------
     InsufficientSpanError
         Fewer than 6 points or less than 3 decades of photon-number span.
     NonConvergenceError
-        The least-squares fit did not converge.
+        The solver failed outright.  A fit that runs out of its evaluation
+        budget is not an error: it reports ``converged=False``.
     """
     n = np.asarray(photon_numbers, dtype=float)
     loss = np.asarray(losses, dtype=float)
@@ -123,60 +158,30 @@ def fit_tls(photon_numbers, losses, temperature: float, f_r: float,
             f"photon numbers span {np.log10(span) if span > 0 else 0:.2f} decades, need >= 3")
 
     tanh_factor = thermal_tanh_factor(f_r, temperature)
-    x0 = _initial_guess(n, loss, tanh_factor)
-    lower = [0.0, -6.0, 1e-6, 0.0]
-    upper = [1.0, 16.0, 2.0, 1.0]
-    x_scale = [max(x0[0], 1e-9), 1.0, 0.3, max(x0[3], 1e-9)]
-    if include_two_photon:
-        x0 = np.append(x0, 1e-3)
-        lower.append(0.0)
-        upper.append(1e12)
-        x_scale.append(max(float(np.max(loss)) * f_r / max(np.max(n), 1.0), 1e-3))
-
-    scales = np.asarray(x_scale, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-
-    # Optimize in unit-scale variables so finite-difference steps stay
-    # proportional to each parameter (losses are ~1e-7 and would otherwise
-    # be probed with steps comparable to their own size).
-    def residuals(u):
-        model = _tls_model(u * scales, n, tanh_factor, f_r, include_two_photon)
-        return np.log10(np.maximum(model, 1e-300)) - np.log10(loss)
-
-    result = least_squares(residuals, x0 / scales,
-                           bounds=(lower / scales, upper / scales), method="trf",
-                           ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=2000)
-    if not result.success:
-        raise NonConvergenceError(f"TLS fit did not converge: {result.message}")
-    x_fit = result.x * scales
+    log_loss = np.log10(loss)
+    x_fit, cov, resid, converged = _solve(
+        lambda x: np.log10(np.maximum(_tls_model(x, n, tanh_factor, f_r), 1e-300)) - log_loss,
+        lambda x: _tls_jacobian(x, n, tanh_factor, f_r),
+        *_tls_start(n, loss, tanh_factor, f_r, include_two_photon))
+    raw_errors = [float(np.sqrt(max(c, 0.0))) for c in np.diag(cov)]
 
     tls_amp, log10_nc, alpha, delta_0 = x_fit[:4]
     n_c = 10.0**log10_nc
     q_tls = 1.0 / tls_amp if tls_amp > 0 else np.inf
     params = TlsParams(q_tls=q_tls, n_c=n_c, alpha_tls=alpha, delta_0=delta_0,
                        temperature=temperature, f_r=f_r)
-
-    names = ["tls_loss", "log10_n_c", "alpha_tls", "delta_0"]
-    if include_two_photon:
-        names.append("two_photon_hz")
-    scaled_errors = covariance_std_errors(result.jac, result.fun, names)
-    raw_errors = {name: err * scale
-                  for (name, err), scale in zip(scaled_errors.items(), scales)}
-    ln10 = np.log(10.0)
     std_errors = {
-        "tls_loss": raw_errors["tls_loss"],
-        "q_tls": raw_errors["tls_loss"] / tls_amp**2 if tls_amp > 0 else np.inf,
-        "n_c": ln10 * n_c * raw_errors["log10_n_c"],
-        "alpha_tls": raw_errors["alpha_tls"],
-        "delta_0": raw_errors["delta_0"],
+        "tls_loss": raw_errors[0],
+        "q_tls": raw_errors[0] / tls_amp**2 if tls_amp > 0 else np.inf,
+        "n_c": _LN10 * n_c * raw_errors[1],
+        "alpha_tls": raw_errors[2],
+        "delta_0": raw_errors[3],
     }
     details: dict = {"tls_loss": float(tls_amp), "tanh_factor": tanh_factor}
     if include_two_photon:
-        std_errors["two_photon_hz"] = raw_errors["two_photon_hz"]
+        std_errors["two_photon_hz"] = raw_errors[4]
         details["two_photon_hz"] = float(x_fit[4])
 
-    residual_rms = float(np.sqrt(np.mean(result.fun**2)))
-    return FitReport(params=params, std_errors=std_errors, residual_rms=residual_rms,
-                     n_points=int(n.size), converged=True, diagnostics=frozenset(),
-                     details=details)
+    return FitReport(params=params, std_errors=std_errors,
+                     residual_rms=float(np.sqrt(np.mean(resid**2))),
+                     n_points=int(n.size), converged=converged, details=details)

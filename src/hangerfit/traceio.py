@@ -243,8 +243,6 @@ def write_csv_trace(trace: FrequencyTrace, path) -> None:
 
 _TOUCHSTONE_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 _TOUCHSTONE_FORMATS = ("RI", "MA", "DB")
-# Column pair order in a v1 .s2p data row: S11 S21 S12 S22.
-_S2P_PAIR_INDEX = {(1, 1): 0, (2, 1): 1, (1, 2): 2, (2, 2): 3}
 
 
 def _touchstone_s21(first: np.ndarray, second: np.ndarray, fmt: str) -> np.ndarray:
@@ -295,10 +293,9 @@ def _touchstone_options(line: str, path: str, lineno: int) -> tuple[float, str]:
     return _TOUCHSTONE_UNITS[unit], data_format
 
 
-def parse_touchstone(path, port_pair: tuple[int, int] = (2, 1), *,
-                     instrument_power: float = 0.0, attenuation: float = 0.0,
+def parse_touchstone(path, *, instrument_power: float = 0.0, attenuation: float = 0.0,
                      temperature: float = 0.010, label: str | None = None) -> FrequencyTrace:
-    """Parse a Touchstone v1 ``.s2p`` file and extract one S-parameter.
+    """Parse a Touchstone v1 ``.s2p`` file and extract S21.
 
     The option line ``# <unit> S <RI|MA|DB> R <z0>`` controls frequency
     scaling and number format.  Drive metadata is not part of the format
@@ -309,18 +306,15 @@ def parse_touchstone(path, port_pair: tuple[int, int] = (2, 1), *,
     :class:`MalformedRowError` with line numbers for syntax problems.
     """
     path = str(path)
-    if port_pair not in _S2P_PAIR_INDEX:
-        raise ParameterError(f"port pair {port_pair} not valid for a 2-port file")
-    pair_index = _S2P_PAIR_INDEX[port_pair]
     drive = {"instrument_power": instrument_power, "attenuation": attenuation,
              "temperature": temperature,
              "label": label if label is not None else os.path.basename(path)}
     with open(path, "r", encoding="utf-8") as handle:
-        trace = _bulk_touchstone(handle, path, pair_index, drive)
-    return trace if trace is not None else _scan_touchstone(path, pair_index, drive)
+        trace = _bulk_touchstone(handle, path, drive)
+    return trace if trace is not None else _scan_touchstone(path, drive)
 
 
-def _bulk_touchstone(handle, path: str, pair_index: int, drive: dict) -> FrequencyTrace | None:
+def _bulk_touchstone(handle, path: str, drive: dict) -> FrequencyTrace | None:
     """Read a Touchstone data block in one ``np.loadtxt`` call; None if the scanner must."""
     options = None
     for raw in iter(handle.readline, ""):
@@ -343,14 +337,14 @@ def _bulk_touchstone(handle, path: str, pair_index: int, drive: dict) -> Frequen
         rows = np.loadtxt(itertools.chain([raw], handle), comments="!", ndmin=2)
         if rows.shape[1] != 9:
             return None
-        first, second = rows[:, 1 + 2 * pair_index], rows[:, 2 + 2 * pair_index]
+        # Column pairs of a v1 .s2p data row: S11 S21 S12 S22.
         return FrequencyTrace(freqs=rows[:, 0] * unit_scale,
-                              s21=_touchstone_s21(first, second, fmt), **drive)
+                              s21=_touchstone_s21(rows[:, 3], rows[:, 4], fmt), **drive)
     except ValueError:  # ParameterError is a ValueError
         return None
 
 
-def _scan_touchstone(path: str, pair_index: int, drive: dict) -> FrequencyTrace:
+def _scan_touchstone(path: str, drive: dict) -> FrequencyTrace:
     """Line-by-line Touchstone parser: raises each error with its line number."""
     unit_scale = None
     fmt = None
@@ -385,7 +379,7 @@ def _scan_touchstone(path: str, pair_index: int, drive: dict) -> FrequencyTrace:
             except ValueError:
                 raise MalformedRowError(f"non-numeric value in {line!r}", path, lineno)
             f_val = numbers[0] * unit_scale
-            first, second = numbers[1 + 2 * pair_index], numbers[2 + 2 * pair_index]
+            first, second = numbers[3], numbers[4]
             if not (math.isfinite(f_val) and math.isfinite(first) and math.isfinite(second)
                     and np.isfinite(_touchstone_s21(np.array(first), np.array(second), fmt))):
                 raise MalformedRowError("non-finite value", path, lineno)

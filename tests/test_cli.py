@@ -192,13 +192,17 @@ class TestSimulateCommand:
 
 
 class TestFitSweepCommand:
-    def test_tls_round_trip_within_ten_percent(self, tmp_path):
+    def test_tls_round_trip_within_ten_percent(self, tmp_path, capsys):
         manifest_path, out_dir = simulate(tmp_path, TLS_CONFIG)
+        capsys.readouterr()
         out = tmp_path / "sweep.json"
         table = tmp_path / "qi.csv"
         assert run(["fit-sweep", manifest_path, "--out", out,
                     "--plot-table", table]) == 0
+        # The summary line says whether the TLS fit converged.
+        assert capsys.readouterr().out.rstrip().endswith("converged=True")
         reports, meta = read_report(out)
+        assert reports[0].converged
         tls = reports[0].params
         assert tls.q_tls == pytest.approx(4.0e6, rel=0.10)
         assert tls.n_c == pytest.approx(10.0, rel=0.10)

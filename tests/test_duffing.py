@@ -308,13 +308,13 @@ class TestNonlinearJacobian:
         scales = _nl_scales(x, trace, p.drive_flux)
 
         def params_at(u):
-            return _params_at(u, scales, f_center, lambda v: _nl_params(v, p.drive_flux))
+            return _params_at(u * scales, f_center, lambda v: _nl_params(v, p.drive_flux))
 
         def model(u):
             s21 = eval_nonlinear_s21(params_at(u), self.FREQS, "sweep_up")
             return np.concatenate([s21.real, s21.imag])
 
-        u = _fit_variables(x, scales, f_center)
+        u = _fit_variables(x, f_center) / scales
         jac = _nonlinear_jacobian(params_at(u), self.FREQS, f_center,
                                   BranchPolicy.SWEEP_UP) * scales
         reference = central_difference_jacobian(model, u)

@@ -210,13 +210,13 @@ class TestLinearJacobian:
         scales = _linear_scales(x, trace)
 
         def params_at(u):
-            return _params_at(u, scales, f_center, _vector_to_params)
+            return _params_at(u * scales, f_center, _vector_to_params)
 
         def model(u):
             s21 = eval_linear_s21(params_at(u), freqs)
             return np.concatenate([s21.real, s21.imag])
 
-        u = _fit_variables(x, scales, f_center)
+        u = _fit_variables(x, f_center) / scales
         jac = _linear_jacobian(params_at(u), freqs, f_center) * scales
         reference = central_difference_jacobian(model, u)
         assert np.all(column_relative_errors(jac, reference) <= 1e-5)

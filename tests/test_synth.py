@@ -129,18 +129,38 @@ class TestPowerSweep:
                                               powers=np.array([-60.0]))
         from hangerfit import NonlinearParams, input_photon_flux
         power_w = dbm_to_watts(-60.0 - 74.0)
-        n_bar = mean_photon_number(power_w, linear)
-        delta_i = float(eval_tls_loss(tls, n_bar))
-        lin_k = LinearParams(amplitude=linear.amplitude, electric_delay=0.0,
-                             phase_offset=0.0, fano_asymmetry=0.0,
-                             resonant_freq=linear.resonant_freq,
-                             internal_loss=delta_i,
-                             coupling_loss=linear.coupling_loss)
+        # The photon number that the TLS loss at it produces: a plain
+        # fixed-point iteration, a contraction for alpha_tls = 0.5.
+        delta_i = linear.internal_loss
+        for _ in range(200):
+            lin_k = LinearParams(amplitude=linear.amplitude, electric_delay=0.0,
+                                 phase_offset=0.0, fano_asymmetry=0.0,
+                                 resonant_freq=linear.resonant_freq,
+                                 internal_loss=delta_i,
+                                 coupling_loss=linear.coupling_loss)
+            delta_i = float(eval_tls_loss(tls, mean_photon_number(power_w, lin_k)))
         params = NonlinearParams(linear=lin_k, kerr=-1.5e3, two_photon=20.0,
                                  drive_flux=input_photon_flux(power_w, linear.resonant_freq))
         freqs = linewidth_grid(linear, span_linewidths=10.0, n_points=301)
         direct = synthesize_nonlinear(params, freqs, "sweep_up", 0.0, seed=[3, 0])
         np.testing.assert_array_equal(traces[0].s21, direct.s21)
+
+    @pytest.mark.parametrize("q_c", [1e6, 2e5, 5e6])
+    def test_fitted_loss_is_tls_loss_at_fitted_photon_number(self, q_c):
+        # The analysis pairs each power's fitted delta_i with the photon
+        # number computed from that fit; on a noise-free sweep the pair
+        # must lie on the TLS curve.
+        tls = TlsParams(q_tls=5e6, n_c=10.0, alpha_tls=0.5, delta_0=5e-8,
+                        temperature=0.010, f_r=5e9)
+        linear = make_params(internal_loss=float(eval_tls_loss(tls, 0.0)),
+                             coupling_loss=1.0 / q_c)
+        powers = np.arange(-80.0, -14.0, 5.0)
+        traces = synthesize_power_sweep(linear, tls, 0.0, 0.0, powers, 74.0,
+                                        linewidth_grid(linear), seed=0)
+        for power_dbm, trace in zip(powers, traces):
+            fit = fit_linear(trace).params
+            n_bar = mean_photon_number(dbm_to_watts(power_dbm - 74.0), fit)
+            assert abs(fit.internal_loss / eval_tls_loss(tls, n_bar) - 1.0) <= 1e-9
 
     def test_rejects_unsorted_powers(self):
         linear = make_params()

@@ -11,6 +11,10 @@ from hangerfit import (
     eval_tls_loss,
     fit_tls,
 )
+from hangerfit.model import thermal_tanh_factor
+from hangerfit.tls import _tls_jacobian, _tls_model, _tls_start
+
+from conftest import central_difference_jacobian, column_relative_errors
 
 
 def make_tls(**overrides):
@@ -142,3 +146,33 @@ class TestFitTls:
         assert second.params.n_c == pytest.approx(first.params.n_c, rel=1e-6)
         assert second.params.alpha_tls == pytest.approx(first.params.alpha_tls,
                                                         rel=1e-6)
+
+    def test_exhausted_budget_reports_not_converged(self):
+        # All points sit far below n_c, so n_c, alpha and delta_0 trade off
+        # along a flat valley and the solve runs out of its budget: a report
+        # with converged=False, not an error.
+        truth = make_tls(q_tls=2e5, delta_0=3e-7)
+        n = np.geomspace(3.4e-7, 4.0, 8)
+        report = fit_tls(n, eval_tls_loss(truth, n), truth.temperature, truth.f_r)
+        assert report.converged is False
+
+
+class TestTlsJacobian:
+    @pytest.mark.parametrize("two_photon", [None, 20.0])
+    def test_matches_central_differences_in_scaled_variables(self, two_photon):
+        truth = make_tls()
+        n, losses = synthesize_points(truth, noise=0.01, seed=7,
+                                      two_photon=two_photon or 0.0)
+        tanh_factor = thermal_tanh_factor(truth.f_r, truth.temperature)
+        # At the solver's start, where each scaled variable is of order one.
+        x0, _, scales = _tls_start(n, losses, tanh_factor, truth.f_r,
+                                   include_two_photon=two_photon is not None)
+
+        def residuals(u):
+            return np.log10(_tls_model(u * scales, n, tanh_factor, truth.f_r)) - np.log10(losses)
+
+        u = x0 / scales
+        jac = _tls_jacobian(u * scales, n, tanh_factor, truth.f_r) * scales
+        reference = central_difference_jacobian(residuals, u)
+        assert jac.shape == (n.size, 4 if two_photon is None else 5)
+        assert np.all(column_relative_errors(jac, reference) <= 1e-5)

@@ -130,12 +130,6 @@ class TestTouchstone:
         assert trace.s21[0].real == pytest.approx(0.5, rel=1e-4)
         assert trace.s21[0].imag == 0.0
 
-    def test_port_pair_selection(self, tmp_path):
-        path = tmp_path / "a.s2p"
-        path.write_text(S2P_BODY)
-        s11 = parse_touchstone(path, port_pair=(1, 1))
-        assert s11.s21[0] == pytest.approx(0.1 + 0.0j)
-
     def test_comment_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "a.s2p"
         path.write_text("! header\n\n" + S2P_BODY + "! trailing\n")
@@ -386,7 +380,7 @@ class TestBulkMatchesScanner:
                                                    **S2P_LAYOUTS[layout]))
         drive = {"instrument_power": -20.0, "attenuation": 60.0,
                  "temperature": 0.015, "label": "d"}
-        scanned = traceio._scan_touchstone(str(path), 1, drive)
+        scanned = traceio._scan_touchstone(str(path), drive)
         monkeypatch.setattr(traceio, "_scan_touchstone", _no_scan)
         bulk = parse_touchstone(path, **drive)
         assert bulk.freqs.tobytes() == scanned.freqs.tobytes()

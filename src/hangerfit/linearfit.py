@@ -2,12 +2,12 @@
 
 :func:`_solve` is the one least-squares core of all three fits (this
 module's :func:`fit_linear`, :func:`hangerfit.duffing.fit_nonlinear` and
-:func:`hangerfit.tls.fit_tls`): a trust-region solve in unit-scaled
-variables with an exact Jacobian, one evaluation budget, one failure policy
-and standard errors from the Jacobian covariance.  :func:`_fit_line_shape`
-is the line-shape work of the first two: it needs p + 3 points for p
-parameters, raises :class:`SingularJacobianError` on a constant trace,
-references the phase to the window centre and reports.
+:func:`hangerfit.tls.fit_tls`): a projected Levenberg-Marquardt solve in
+numpy alone, in unit-scaled variables with an exact Jacobian, one evaluation
+budget, one failure policy and standard errors from the Jacobian covariance.
+:func:`_fit_line_shape` is the line-shape work of the first two: it needs
+p + 3 points for p parameters, raises :class:`SingularJacobianError` on a
+constant trace, references the phase to the window centre and reports.
 
 Every caller shares one noise estimate (:func:`_noise_sigma`) and one dip
 locator (:func:`_dip_index`).  Narrowing the fit window to the dip is the
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import TWO_PI
 from .errors import (
@@ -183,6 +182,10 @@ _PARAM_NAMES = ["amplitude", "electric_delay", "phase_offset", "fano_asymmetry",
 # (fit parameters + 1) residual evaluations.
 _MAX_ITERATIONS = 200
 
+# Relative cost decrease, relative step and projected gradient at which
+# :func:`_solve` stops.
+_TOLERANCE = 1e-14
+
 
 def _params_to_vector(p: LinearParams) -> np.ndarray:
     return np.array([p.amplitude, p.electric_delay, p.phase_offset,
@@ -291,35 +294,92 @@ def _solve(residuals, jacobian, x0: np.ndarray, bounds: tuple[np.ndarray, np.nda
     """The least-squares core of every fit: minimize ``residuals(x)``, with
     exact Jacobian ``jacobian(x)``, from ``x0`` within ``bounds``.
 
-    The solve runs in the unit-scaled variables ``x/scales``, so the trust
-    region is a ball (raw parameters range from ~1e-8 s delays to GHz
-    frequencies), within :data:`_MAX_ITERATIONS` * (parameters + 1)
-    residual evaluations.  Returns ``(x, covariance, residuals,
-    converged)``: the covariance, in raw units, is the SVD pseudo-inverse of
-    J^T J times the residual variance, so a direction the data does not
-    constrain gets a large but finite variance; ``converged`` is False when
-    the budget runs out.  Raises NonConvergenceError if the solver fails
-    outright or returns non-finite values, SingularJacobianError if the
-    Jacobian at the solution is zero.
-    """
-    max_nfev = _MAX_ITERATIONS * (x0.size + 1)
-    result = least_squares(lambda u: residuals(u * scales), x0 / scales,
-                           jac=lambda u: jacobian(u * scales) * scales,
-                           bounds=(bounds[0] / scales, bounds[1] / scales),
-                           method="trf", ftol=1e-14, xtol=1e-14, gtol=1e-14,
-                           max_nfev=max_nfev)
-    if result.status < 0 or not np.all(np.isfinite(result.x)):
-        raise NonConvergenceError(f"least-squares fit failed: {result.message}")
+    A projected Levenberg-Marquardt solve with Nielsen's damping update
+    (Madsen, Nielsen & Tingleff, "Methods for non-linear least squares
+    problems", 2004) in the unit-scaled variables ``u = x/scales``, so one
+    damping term suits every parameter (raw parameters range from ~1e-8 s
+    delays to GHz frequencies).  A variable at a bound whose gradient points
+    outward is held there; any other step is clipped to the bounds.  The
+    solve stops when the cost falls by less than :data:`_TOLERANCE` of
+    itself on a good step, the step is below :data:`_TOLERANCE` of the
+    variables (tested after the step is taken, as a tiny f_r step matters
+    at this tolerance), or the projected gradient is below
+    :data:`_TOLERANCE`; or after :data:`_MAX_ITERATIONS` * (parameters + 1)
+    residual evaluations.  A trial point with non-finite residuals counts
+    as a failed step.
 
-    m, p = result.jac.shape
-    s_squared = float(np.sum(result.fun**2)) / max(m - p, 1)
-    _, sv, vt = np.linalg.svd(result.jac, full_matrices=False)
+    Returns ``(x, covariance, residuals, converged)``: the covariance, in
+    raw units, is the SVD pseudo-inverse of J^T J times the residual
+    variance, so a direction the data does not constrain gets a large but
+    finite variance; ``converged`` is False when the budget runs out.
+    Raises NonConvergenceError for non-finite residuals at the start or a
+    non-finite Jacobian, SingularJacobianError if the Jacobian at the
+    solution is zero.
+    """
+    lower, upper = bounds[0] / scales, bounds[1] / scales
+    max_nfev = _MAX_ITERATIONS * (x0.size + 1)
+
+    def jac(u):
+        j = jacobian(u * scales) * scales
+        if not np.all(np.isfinite(j)):
+            raise NonConvergenceError("least-squares fit failed: Jacobian is not finite")
+        return j
+
+    u = x0 / scales
+    r = residuals(x0)
+    nfev = 1
+    if not np.all(np.isfinite(r)):
+        raise NonConvergenceError("least-squares fit failed: residuals are not finite at the start")
+    j = jac(u)
+    cost = 0.5 * float(r @ r)
+    damping = 1e-3 * float(np.max(np.sum(j**2, axis=0)))
+    growth = 2.0
+    converged = False
+    while not converged and nfev < max_nfev:
+        grad = j.T @ r
+        free = ~(((u <= lower) & (grad > 0)) | ((u >= upper) & (grad < 0)))
+        if np.max(np.abs(grad[free]), initial=0.0) <= _TOLERANCE:
+            converged = True
+            break
+        _, sv, vt = np.linalg.svd(j[:, free], full_matrices=False)
+        grad_v = vt @ grad[free]
+        while nfev < max_nfev:
+            step = np.zeros_like(u)
+            step[free] = -vt.T @ (grad_v / (sv**2 + damping))
+            trial = np.clip(u + step, lower, upper)
+            step = trial - u
+            r_trial = residuals(trial * scales)
+            nfev += 1
+            cost_trial = 0.5 * float(r_trial @ r_trial)
+            predicted = -float(grad @ step) - 0.5 * float(np.sum((j @ step) ** 2))
+            reduction = cost - cost_trial if np.isfinite(cost_trial) else -np.inf
+            ratio = reduction / predicted if predicted > 0 else -1.0
+            small_step = (float(np.linalg.norm(step))
+                          <= _TOLERANCE * (_TOLERANCE + float(np.linalg.norm(trial))))
+            if ratio > 0:
+                converged = small_step or (reduction < _TOLERANCE * cost and ratio > 0.25)
+                u, r, cost = trial, r_trial, cost_trial
+                j = jac(u)
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                growth = 2.0
+                break
+            damping *= growth
+            growth *= 2.0
+            if small_step:
+                converged = True
+                break
+
+    x = np.clip(u * scales, *bounds)
+    if not np.all(np.isfinite(x)):
+        raise NonConvergenceError("least-squares fit failed: non-finite solution")
+    m, p = j.shape
+    s_squared = float(r @ r) / max(m - p, 1)
+    _, sv, vt = np.linalg.svd(j, full_matrices=False)
     if sv.size == 0 or sv[0] <= 0.0:
         raise SingularJacobianError("Jacobian is identically zero")
     inv_sv2 = 1.0 / np.maximum(sv, sv[0] * max(m, p) * np.finfo(float).eps) ** 2
     cov = (vt.T * inv_sv2) @ vt * s_squared * np.outer(scales, scales)
-    converged = bool(result.status > 0 and result.nfev < max_nfev)
-    return result.x * scales, cov, result.fun, converged
+    return x, cov, r, converged
 
 
 def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,

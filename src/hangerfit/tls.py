@@ -84,9 +84,11 @@ def _tls_start(n: np.ndarray, loss: np.ndarray, tanh_factor: float, f_r: float,
     """Starting vector, bounds and unit scales of the TLS fit."""
     order = np.argsort(n)
     n_sorted, loss_sorted = n[order], loss[order]
-    # High-power tail approximates the power-independent floor.
+    # High-power tail approximates the power-independent floor; the
+    # lowest-power loss (not the largest, which may be a two-photon upturn)
+    # gives the TLS amplitude.
     delta_0 = 0.8 * float(np.min(loss))
-    amp = max((float(np.max(loss)) - delta_0) / tanh_factor, 1e-12)
+    amp = max((float(loss_sorted[0]) - delta_0) / tanh_factor, 1e-12)
     # Knee: photon number where the TLS part has dropped to half its amplitude.
     half = delta_0 + 0.5 * amp * tanh_factor
     above = loss_sorted > half
@@ -102,7 +104,8 @@ def _tls_start(n: np.ndarray, loss: np.ndarray, tanh_factor: float, f_r: float,
     upper = [1.0, 16.0, 2.0, 1.0]
     scales = [max(x0[0], 1e-9), 1.0, 0.3, max(x0[3], 1e-9)]
     if include_two_photon:
-        x0.append(1e-3)
+        # The upturn above the floor at the highest power.
+        x0.append(max((float(loss_sorted[-1]) - float(np.min(loss))) * f_r / n_sorted[-1], 1e-3))
         lower.append(0.0)
         upper.append(1e12)
         scales.append(max(float(np.max(loss)) * f_r / max(np.max(n), 1.0), 1e-3))

@@ -411,3 +411,14 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    # The least-squares core is numpy-only; scipy is not a dependency.
+    src = os.path.dirname(os.path.dirname(hangerfit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, hangerfit.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

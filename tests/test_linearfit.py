@@ -7,6 +7,7 @@ from hangerfit import (
     FrequencyTrace,
     LinearParams,
     NoResonanceError,
+    NonConvergenceError,
     ParameterError,
     SingularJacobianError,
     eval_linear_s21,
@@ -24,6 +25,7 @@ from hangerfit.linearfit import (
     _noise_sigma,
     _params_at,
     _params_to_vector,
+    _solve,
     _vector_to_params,
 )
 
@@ -220,3 +222,78 @@ class TestLinearJacobian:
         jac = _linear_jacobian(params_at(u), freqs, f_center) * scales
         reference = central_difference_jacobian(model, u)
         assert np.all(column_relative_errors(jac, reference) <= 1e-5)
+
+
+class TestSolve:
+    """The least-squares core on problems with known answers."""
+
+    @staticmethod
+    def unbounded(p):
+        return np.full(p, -np.inf), np.full(p, np.inf)
+
+    def test_linear_problem_matches_lstsq(self):
+        rng = np.random.default_rng(3)
+        design = rng.normal(size=(40, 3)) * np.array([1.0, 1e3, 1e-4])
+        target = rng.normal(size=40)
+        scales = np.array([1.0, 1e-3, 1e4])
+        x, cov, resid, converged = _solve(lambda x: design @ x - target, lambda x: design,
+                                          np.zeros(3), self.unbounded(3), scales)
+        reference, *_ = np.linalg.lstsq(design, target, rcond=None)
+        assert converged
+        np.testing.assert_allclose(x, reference, rtol=1e-12)
+        np.testing.assert_allclose(resid, design @ reference - target, rtol=1e-12, atol=1e-12)
+        s_squared = np.sum(resid**2) / (40 - 3)
+        np.testing.assert_allclose(cov, s_squared * np.linalg.inv(design.T @ design),
+                                   rtol=1e-9)
+
+    def test_rosenbrock_reaches_its_minimum(self):
+        def residuals(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        def jacobian(x):
+            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+        x, _, _, converged = _solve(residuals, jacobian, np.array([-1.2, 1.0]),
+                                    self.unbounded(2), np.ones(2))
+        assert converged
+        np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-8)
+
+    def test_minimum_outside_the_box_sits_on_the_bound(self):
+        # Coupled columns: the unbounded minimum has x = (2, -1), beyond x0 <= 1,
+        # so x1 must follow from the reduced problem with x0 held at 1.
+        design = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [2.0, 1.0]])
+        target = design @ np.array([2.0, -1.0]) + np.array([0.1, -0.1, 0.05, 0.0])
+        bounds = (np.full(2, -np.inf), np.array([1.0, np.inf]))
+        x, cov, _, converged = _solve(lambda x: design @ x - target, lambda x: design,
+                                      np.zeros(2), bounds, np.ones(2))
+        reduced, *_ = np.linalg.lstsq(design[:, 1:], target - design[:, 0], rcond=None)
+        assert converged
+        assert x[0] == 1.0
+        assert x[1] == pytest.approx(reduced[0], abs=1e-9)
+        assert np.all(np.isfinite(cov))
+
+    def test_start_at_the_minimum_stops_on_the_gradient(self):
+        design = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+        target = np.array([0.0, 1.5, 1.5, 3.5])
+        solution, *_ = np.linalg.lstsq(design, target, rcond=None)
+        calls = []
+
+        def residuals(x):
+            calls.append(x)
+            return design @ x - target
+
+        x, _, _, converged = _solve(residuals, lambda x: design, solution,
+                                    self.unbounded(2), np.ones(2))
+        assert converged
+        assert len(calls) == 1
+        np.testing.assert_array_equal(x, solution)
+
+    def test_nan_residual_raises(self):
+        with pytest.raises(NonConvergenceError):
+            _solve(lambda x: np.full(4, np.nan), lambda x: np.ones((4, 2)),
+                   np.zeros(2), self.unbounded(2), np.ones(2))
+
+    def test_zero_jacobian_is_singular(self):
+        with pytest.raises(SingularJacobianError):
+            _solve(lambda x: np.array([1.0, 2.0, 3.0]), lambda x: np.zeros((3, 2)),
+                   np.zeros(2), self.unbounded(2), np.ones(2))

@@ -11,6 +11,7 @@ from hangerfit import (
     eval_tls_loss,
     fit_tls,
 )
+from hangerfit import linearfit
 from hangerfit.model import thermal_tanh_factor
 from hangerfit.tls import _tls_jacobian, _tls_model, _tls_start
 
@@ -115,7 +116,7 @@ class TestFitTls:
 
     def test_round_trip_with_two_photon_term(self):
         truth = make_tls()
-        # gamma*n_max/f_r ~ 4e-7: an upturn comparable to the residual loss.
+        # gamma*n_max/f_r = 0.4: an upturn a million times the residual loss.
         two_photon = 20.0
         n, losses = synthesize_points(truth, noise=0.01, seed=7,
                                       two_photon=two_photon)
@@ -123,6 +124,18 @@ class TestFitTls:
                          include_two_photon=True)
         assert report.details["two_photon_hz"] == pytest.approx(two_photon, rel=0.15)
         assert report.params.n_c == pytest.approx(truth.n_c, rel=0.20)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_upturn_comparable_to_residual_loss(self, seed):
+        truth = make_tls()
+        # gamma*n_max/f_r = 5e-7 = 2*delta_0.
+        two_photon = 0.025
+        n, losses = synthesize_points(truth, noise=0.01, seed=seed,
+                                      two_photon=two_photon)
+        report = fit_tls(n, losses, truth.temperature, truth.f_r,
+                         include_two_photon=True)
+        assert report.details["two_photon_hz"] == pytest.approx(two_photon, rel=0.05)
+        assert report.params.delta_0 == pytest.approx(truth.delta_0, rel=0.10)
 
     def test_three_points_insufficient(self):
         with pytest.raises(InsufficientSpanError):
@@ -147,14 +160,28 @@ class TestFitTls:
         assert second.params.alpha_tls == pytest.approx(first.params.alpha_tls,
                                                         rel=1e-6)
 
-    def test_exhausted_budget_reports_not_converged(self):
-        # All points sit far below n_c, so n_c, alpha and delta_0 trade off
-        # along a flat valley and the solve runs out of its budget: a report
-        # with converged=False, not an error.
+    @staticmethod
+    def below_knee_sweep():
+        # All points sit below n_c, so n_c, alpha and delta_0 trade off
+        # along a flat valley.
         truth = make_tls(q_tls=2e5, delta_0=3e-7)
         n = np.geomspace(3.4e-7, 4.0, 8)
-        report = fit_tls(n, eval_tls_loss(truth, n), truth.temperature, truth.f_r)
+        return truth, n, eval_tls_loss(truth, n)
+
+    def test_exhausted_budget_reports_not_converged(self, monkeypatch):
+        # A solve that runs out of its budget gives a report with
+        # converged=False, not an error.
+        monkeypatch.setattr(linearfit, "_MAX_ITERATIONS", 1)
+        truth, n, losses = self.below_knee_sweep()
+        report = fit_tls(n, losses, truth.temperature, truth.f_r)
         assert report.converged is False
+
+    def test_sweep_below_knee_converges_to_truth(self):
+        truth, n, losses = self.below_knee_sweep()
+        report = fit_tls(n, losses, truth.temperature, truth.f_r)
+        assert report.converged
+        assert report.params.q_tls == pytest.approx(truth.q_tls, rel=1e-6)
+        assert report.params.n_c == pytest.approx(truth.n_c, rel=1e-6)
 
 
 class TestTlsJacobian:

@@ -159,16 +159,16 @@ def cmd_fit_sweep(args) -> int:
             fitted.append((trace, report, mean_photon_number(power_w, report.params)))
 
     # Lowest power anchors the environment and the nonlinearity baseline.
-    base_trace, base_report, _ = fitted[0]
-    base_linear: LinearParams = base_report.params
-    baseline_ellipticity = max(ellipticity_metric(base_trace, base_linear), 1e-15)
+    base_linear: LinearParams = fitted[0][1].params
+    ellipticities = [ellipticity_metric(trace, base_linear) for trace, _, _ in fitted]
+    baseline_ellipticity = max(ellipticities[0], 1e-15)
 
     points = []
     reports = []
     excluded_powers = []
     for index, (trace, report, n_bar) in enumerate(fitted):
         power_dbm = manifest.entries[index][1]
-        metric = ellipticity_metric(trace, base_linear)
+        metric = ellipticities[index]
         details = dict(report.details)
         details["photon_number"] = n_bar
         details["ellipticity"] = metric

@@ -50,11 +50,11 @@ from .errors import (
 from .linearfit import (
     _PARAM_NAMES,
     FitReport,
-    _detuning_jacobian,
+    _detuning_derivatives,
     _dip_index,
     _fit_line_shape,
+    _line_shape,
     _line_shape_details,
-    _line_shape_jacobian,
     _linear_bounds,
     _linear_scales,
     _noise_sigma,
@@ -145,9 +145,7 @@ def _newton_polish(c3, c2, c1, roots: np.ndarray, iterations: int = 3) -> np.nda
     for _ in range(iterations):
         f = _cubic_value(c3, c2, c1, x)
         fp = (3.0 * c3 * x + 2.0 * c2) * x + c1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = np.where(np.abs(fp) > 0, f / np.where(fp == 0, 1.0, fp), 0.0)
-        x = x - step
+        x = x - np.divide(f, fp, out=np.zeros_like(f), where=fp != 0)
     return x
 
 
@@ -285,15 +283,8 @@ def branch_jump_indices(selected: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def eval_nonlinear_s21(p: NonlinearParams, freqs,
                        policy: BranchPolicy | str = BranchPolicy.SWEEP_UP) -> np.ndarray:
     """Nonlinear transmission at the given frequencies (Hz)."""
-    xi, eta, _ = normalized_drive_params(p)
-    lin = p.linear
-    f = np.asarray(freqs, dtype=float)
-    dt = normalized_detuning(lin, f)
-    ntilde, _ = selected_photon_numbers(xi, eta, dt, policy)
-    env = lin.amplitude * np.exp(1j * (TWO_PI * f * lin.electric_delay + lin.phase_offset))
-    depth = lin.coupling_loss / (lin.coupling_loss + lin.internal_loss)
-    denom = 1.0 + eta * ntilde + 2j * (dt - xi * ntilde)
-    return env * (1.0 - depth * np.exp(1j * lin.fano_asymmetry) / denom)
+    s21, _ = _nonlinear_line_shape(p, np.asarray(freqs, dtype=float), policy)
+    return s21
 
 
 def photon_numbers(p: NonlinearParams, freqs,
@@ -344,46 +335,49 @@ def seed_nonlinear_guess(trace: FrequencyTrace, linear: LinearParams,
                            drive_flux=drive_flux)
 
 
-def _nonlinear_jacobian(p: NonlinearParams, freqs: np.ndarray, f_center: float,
-                        policy: BranchPolicy) -> np.ndarray:
-    """Exact Jacobian of the stacked nonlinear residuals w.r.t. the fit vector.
+def _nonlinear_line_shape(p: NonlinearParams, freqs: np.ndarray,
+                          policy: BranchPolicy | str):
+    """The nonlinear model as a :func:`~hangerfit.linearfit._line_shape`:
+    ``(s21, jacobian)``.
 
-    The columns follow ``_NL_PARAM_NAMES`` with the phase referenced to
-    ``f_center``.  With ``g = delta_c*drive_flux/(2*pi*f_r**2*(delta_i +
-    delta_c)**3)`` the drive parameters are ``xi = g*kerr`` and ``eta =
-    g*two_photon``.  The selected root's derivative follows from the cubic
-    ``F(nt; xi, eta, dt) = 0`` by implicit differentiation,
-    ``d(nt) = -(F_xi*d(xi) + F_eta*d(eta) + F_dt*d(dt))/F_nt``, which holds
-    on whichever branch the policy selected.
+    The photon-number cubic is solved once, here; the Jacobian reuses this
+    evaluation's root ``nt``, detuning ``dt``, ``xi``, ``eta`` and
+    denominator.  Its columns follow ``_NL_PARAM_NAMES``.  With ``g =
+    delta_c*drive_flux/(2*pi*f_r**2*(delta_i + delta_c)**3)`` the drive
+    parameters are ``xi = g*kerr`` and ``eta = g*two_photon``.  The selected
+    root's derivative follows from the cubic ``F(nt; xi, eta, dt) = 0`` by
+    implicit differentiation, ``d(nt) = -(F_xi*d(xi) + F_eta*d(eta) +
+    F_dt*d(dt))/F_nt``, which holds on whichever branch the policy selected.
     """
     lin = p.linear
     xi, eta, atilde_sq = normalized_drive_params(p)
-    dt, d_dt = _detuning_jacobian(lin, freqs)
+    dt = normalized_detuning(lin, freqs)
     nt, _ = selected_photon_numbers(xi, eta, dt, policy)
-
-    total = lin.total_loss
-    g = atilde_sq / loaded_linewidth(lin)
-    # Rows: resonant_freq, internal_loss, coupling_loss, kerr, two_photon.
-    d_g = g * np.array([-2.0 / lin.resonant_freq, -3.0 / total,
-                        1.0 / lin.coupling_loss - 3.0 / total, 0.0, 0.0])
-    d_xi = p.kerr * d_g
-    d_xi[3] = g
-    d_eta = p.two_photon * d_g
-    d_eta[4] = g
-    d_xi, d_eta = d_xi[:, None], d_eta[:, None]
-    d_dt = np.concatenate([d_dt, np.zeros((2, dt.size))])
-
-    c3, c2, c1 = _cubic_coefficients(xi, eta, dt)
-    nt_sq = nt * nt
-    f_nt = (3.0 * c3 * nt + 2.0 * c2) * nt + c1
-    f_xi = 2.0 * (xi * nt - dt) * nt_sq
-    f_eta = 0.5 * (eta * nt + 1.0) * nt_sq
-    f_dt = 2.0 * (dt - xi * nt) * nt
-    d_nt = -(f_xi * d_xi + f_eta * d_eta + f_dt * d_dt) / f_nt
-
     denom = 1.0 + eta * nt + 2j * (dt - xi * nt)
-    d_denom = (eta - 2j * xi) * d_nt + nt * (d_eta - 2j * d_xi) + 2j * d_dt
-    return _line_shape_jacobian(lin, freqs, f_center, denom, d_denom)
+
+    def d_denom():
+        total = lin.total_loss
+        g = atilde_sq / loaded_linewidth(lin)
+        # Rows: resonant_freq, internal_loss, coupling_loss, kerr, two_photon.
+        d_g = g * np.array([-2.0 / lin.resonant_freq, -3.0 / total,
+                            1.0 / lin.coupling_loss - 3.0 / total, 0.0, 0.0])
+        d_xi = p.kerr * d_g
+        d_xi[3] = g
+        d_eta = p.two_photon * d_g
+        d_eta[4] = g
+        d_xi, d_eta = d_xi[:, None], d_eta[:, None]
+        d_dt = np.concatenate([_detuning_derivatives(lin, freqs, dt), np.zeros((2, dt.size))])
+
+        c3, c2, c1 = _cubic_coefficients(xi, eta, dt)
+        nt_sq = nt * nt
+        f_nt = (3.0 * c3 * nt + 2.0 * c2) * nt + c1
+        f_xi = 2.0 * (xi * nt - dt) * nt_sq
+        f_eta = 0.5 * (eta * nt + 1.0) * nt_sq
+        f_dt = 2.0 * (dt - xi * nt) * nt
+        d_nt = -(f_xi * d_xi + f_eta * d_eta + f_dt * d_dt) / f_nt
+        return (eta - 2j * xi) * d_nt + nt * (d_eta - 2j * d_xi) + 2j * d_dt
+
+    return _line_shape(lin, freqs, denom, d_denom)
 
 
 def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
@@ -393,9 +387,10 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
     The solve is the shared core ``linearfit._fit_line_shape`` on the linear
     fit vector plus ``kerr`` and ``two_photon`` (>= 0).  The drive flux is
     held fixed at ``guess.drive_flux`` (floating it is degenerate with the
-    two rates).  Each residual and each Jacobian evaluation solves the
-    photon-number cubic once per frequency point; the Jacobian is exact
-    (see :func:`_nonlinear_jacobian`).
+    two rates).  Each evaluation of the solve finds the photon-number
+    cubic's roots once per frequency point, and the exact Jacobian at an
+    accepted point reuses them (see :func:`_nonlinear_line_shape`); one
+    more solve checks the selected branch at the solution.
 
     Raises
     ------
@@ -417,8 +412,7 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
         lambda x: _nl_params(x, drive_flux),
         (np.append(lower, [-np.inf, 0.0]), np.append(upper, [np.inf, np.inf])),
         lambda x0: _nl_scales(x0, trace, drive_flux),
-        lambda p, freqs: eval_nonlinear_s21(p, freqs, policy),
-        lambda p, freqs, f_center: _nonlinear_jacobian(p, freqs, f_center, policy))
+        lambda p, freqs: _nonlinear_line_shape(p, freqs, policy))
     params, std_errors = report.params, report.std_errors
 
     xi, eta, atilde_sq = normalized_drive_params(params)

@@ -5,9 +5,13 @@ module's :func:`fit_linear`, :func:`hangerfit.duffing.fit_nonlinear` and
 :func:`hangerfit.tls.fit_tls`): a projected Levenberg-Marquardt solve in
 numpy alone, in unit-scaled variables with an exact Jacobian, one evaluation
 budget, one failure policy and standard errors from the Jacobian covariance.
+Each fit hands it one evaluator, which returns the residuals at a point and
+a function that builds the Jacobian at that point from the evaluation's own
+intermediates; the solver builds it only where it needs it.
 :func:`_fit_line_shape` is the line-shape work of the first two: it needs
 p + 3 points for p parameters, raises :class:`SingularJacobianError` on a
 constant trace, references the phase to the window centre and reports.
+:func:`_line_shape` is the hanger line shape both fits evaluate.
 
 Every caller shares one noise estimate (:func:`_noise_sigma`) and one dip
 locator (:func:`_dip_index`).  Narrowing the fit window to the dip is the
@@ -32,7 +36,6 @@ from .errors import (
 from .model import (
     FrequencyTrace,
     LinearParams,
-    eval_linear_s21,
     loaded_linewidth,
     normalized_detuning,
     raw_qc,
@@ -112,6 +115,11 @@ def estimate_initial(trace: FrequencyTrace) -> LinearParams:
     NoResonanceError
         If no dip at least 3 sigma below the baseline median exists.
     """
+    return _estimate_initial(trace, _noise_sigma(trace.s21))
+
+
+def _estimate_initial(trace: FrequencyTrace, sigma: float) -> LinearParams:
+    """:func:`estimate_initial` with the trace's noise sigma already known."""
     freqs = trace.freqs
     mag = np.abs(trace.s21)
     n = mag.size
@@ -120,7 +128,6 @@ def estimate_initial(trace: FrequencyTrace) -> LinearParams:
     baseline = float(np.median(mag[wings]))
     if baseline <= 0:
         raise NoResonanceError("baseline magnitude is zero")
-    sigma = _noise_sigma(trace.s21)
     dip_idx = _dip_index(mag)
     dip_mag = float(mag[dip_idx])
 
@@ -232,54 +239,59 @@ def _params_at(x: np.ndarray, f_center: float, make_params):
     return make_params(x)
 
 
-def _detuning_jacobian(p: LinearParams, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized detuning and its derivatives w.r.t. (f_r, delta_i, delta_c).
-
-    Returns ``(dt, d_dt)`` with ``d_dt`` of shape (3, N).
-    """
+def _detuning_derivatives(p: LinearParams, freqs: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Derivatives of the normalized detuning ``dt`` w.r.t. (f_r, delta_i,
+    delta_c), shape (3, N)."""
     total = p.total_loss
-    dt = normalized_detuning(p, freqs)
     d_loss = -dt / total
-    return dt, np.stack([-freqs / (p.resonant_freq**2 * total), d_loss, d_loss])
+    return np.stack([-freqs / (p.resonant_freq**2 * total), d_loss, d_loss])
 
 
-def _line_shape_jacobian(p: LinearParams, freqs: np.ndarray, f_center: float,
-                         denom: np.ndarray, d_denom: np.ndarray) -> np.ndarray:
-    """Jacobian of the stacked real/imaginary residuals of a hanger line shape.
+def _line_shape(p: LinearParams, freqs: np.ndarray, denom: np.ndarray, d_denom):
+    """A hanger line shape and the Jacobian of its stacked real/imaginary parts.
 
     The line shape is ``env*(1 - D*exp(i*alpha_f)/denom)`` with ``env`` as in
     :func:`~hangerfit.model.eval_linear_s21` and ``D = delta_c/(delta_i +
-    delta_c)``; ``denom`` is ``1 + 2i*dt`` for the linear model.  The
-    columns follow the fit vector (amplitude, electric_delay, phase at
-    ``f_center``, fano_asymmetry, resonant_freq, internal_loss,
-    coupling_loss, ...).  Rows of ``d_denom`` are the derivatives of
-    ``denom`` w.r.t. resonant_freq, internal_loss, coupling_loss and then
-    any further fit parameter, which must enter through ``denom`` alone.
-    Returns an array of shape (2N, 4 + len(d_denom)).
+    delta_c)``; ``denom`` is ``1 + 2i*dt`` for the linear model.  Returns
+    ``(s21, jacobian)``: ``jacobian(f_center)`` builds, from this
+    evaluation's envelope, denominator and S21, the (2N, 4 + len(d_denom()))
+    Jacobian whose columns follow the fit vector (amplitude,
+    electric_delay, phase at ``f_center``, fano_asymmetry, resonant_freq,
+    internal_loss, coupling_loss, ...).  Rows of ``d_denom()`` are the
+    derivatives of ``denom`` w.r.t. resonant_freq, internal_loss,
+    coupling_loss and then any further fit parameter, which must enter
+    through ``denom`` alone.
     """
     total = p.total_loss
     depth = p.coupling_loss / total
     env = p.amplitude * np.exp(1j * (TWO_PI * freqs * p.electric_delay + p.phase_offset))
-    tilt = np.exp(1j * p.fano_asymmetry) / denom
-    resonance = env * depth * tilt
-    s21 = env - resonance
-    cols = np.empty((freqs.size, 4 + d_denom.shape[0]), dtype=complex)
-    cols[:, 0] = s21 / p.amplitude
-    cols[:, 1] = 1j * TWO_PI * (freqs - f_center) * s21
-    cols[:, 2] = 1j * s21
-    cols[:, 3] = -1j * resonance
-    cols[:, 4:] = (resonance / denom * d_denom).T
-    # The depth D depends on the two losses: dD/d(delta_i) = -D/total and
-    # dD/d(delta_c) = delta_i/total**2.
-    cols[:, 5] += env * tilt * (depth / total)
-    cols[:, 6] -= env * tilt * (p.internal_loss / total**2)
-    return np.concatenate([cols.real, cols.imag])
+    rotation = np.exp(1j * p.fano_asymmetry)
+    s21 = env * (1.0 - depth * rotation / denom)
+
+    def jacobian(f_center: float) -> np.ndarray:
+        tilt = rotation / denom
+        resonance = env * depth * tilt
+        rows = d_denom()
+        cols = np.empty((freqs.size, 4 + rows.shape[0]), dtype=complex)
+        cols[:, 0] = s21 / p.amplitude
+        cols[:, 1] = 1j * TWO_PI * (freqs - f_center) * s21
+        cols[:, 2] = 1j * s21
+        cols[:, 3] = -1j * resonance
+        cols[:, 4:] = (resonance / denom * rows).T
+        # The depth D depends on the two losses: dD/d(delta_i) = -D/total and
+        # dD/d(delta_c) = delta_i/total**2.
+        cols[:, 5] += env * tilt * (depth / total)
+        cols[:, 6] -= env * tilt * (p.internal_loss / total**2)
+        return np.concatenate([cols.real, cols.imag])
+
+    return s21, jacobian
 
 
-def _linear_jacobian(p: LinearParams, freqs: np.ndarray, f_center: float) -> np.ndarray:
-    """Exact Jacobian of the linear model's stacked residuals w.r.t. its fit vector."""
-    dt, d_dt = _detuning_jacobian(p, freqs)
-    return _line_shape_jacobian(p, freqs, f_center, 1.0 + 2j * dt, 2j * d_dt)
+def _linear_line_shape(p: LinearParams, freqs: np.ndarray):
+    """The linear model as a :func:`_line_shape`: ``(s21, jacobian)``."""
+    dt = normalized_detuning(p, freqs)
+    return _line_shape(p, freqs, 1.0 + 2j * dt,
+                       lambda: 2j * _detuning_derivatives(p, freqs, dt))
 
 
 def _residual_autocorr(resid: np.ndarray) -> float:
@@ -289,10 +301,16 @@ def _residual_autocorr(resid: np.ndarray) -> float:
     return float(np.abs(np.sum(resid[:-1] * np.conj(resid[1:]))) / power)
 
 
-def _solve(residuals, jacobian, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
+def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
            scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """The least-squares core of every fit: minimize ``residuals(x)``, with
-    exact Jacobian ``jacobian(x)``, from ``x0`` within ``bounds``.
+    """The least-squares core of every fit: minimize the residuals from
+    ``x0`` within ``bounds``.
+
+    ``evaluate(x)`` returns the residuals at ``x`` and a zero-argument
+    function that builds their exact Jacobian at the same ``x``, from that
+    evaluation's own intermediates.  The solver calls ``evaluate`` once per
+    point it tries and builds the Jacobian only at the start and at each
+    accepted point.
 
     A projected Levenberg-Marquardt solve with Nielsen's damping update
     (Madsen, Nielsen & Tingleff, "Methods for non-linear least squares
@@ -305,8 +323,8 @@ def _solve(residuals, jacobian, x0: np.ndarray, bounds: tuple[np.ndarray, np.nda
     variables (tested after the step is taken, as a tiny f_r step matters
     at this tolerance), or the projected gradient is below
     :data:`_TOLERANCE`; or after :data:`_MAX_ITERATIONS` * (parameters + 1)
-    residual evaluations.  A trial point with non-finite residuals counts
-    as a failed step.
+    evaluations.  A trial point with non-finite residuals counts as a
+    failed step.
 
     Returns ``(x, covariance, residuals, converged)``: the covariance, in
     raw units, is the SVD pseudo-inverse of J^T J times the residual
@@ -319,18 +337,18 @@ def _solve(residuals, jacobian, x0: np.ndarray, bounds: tuple[np.ndarray, np.nda
     lower, upper = bounds[0] / scales, bounds[1] / scales
     max_nfev = _MAX_ITERATIONS * (x0.size + 1)
 
-    def jac(u):
-        j = jacobian(u * scales) * scales
+    def scaled(jacobian):
+        j = jacobian() * scales
         if not np.all(np.isfinite(j)):
             raise NonConvergenceError("least-squares fit failed: Jacobian is not finite")
         return j
 
     u = x0 / scales
-    r = residuals(x0)
+    r, jacobian = evaluate(x0)
     nfev = 1
     if not np.all(np.isfinite(r)):
         raise NonConvergenceError("least-squares fit failed: residuals are not finite at the start")
-    j = jac(u)
+    j = scaled(jacobian)
     cost = 0.5 * float(r @ r)
     damping = 1e-3 * float(np.max(np.sum(j**2, axis=0)))
     growth = 2.0
@@ -348,7 +366,7 @@ def _solve(residuals, jacobian, x0: np.ndarray, bounds: tuple[np.ndarray, np.nda
             step[free] = -vt.T @ (grad_v / (sv**2 + damping))
             trial = np.clip(u + step, lower, upper)
             step = trial - u
-            r_trial = residuals(trial * scales)
+            r_trial, jacobian = evaluate(trial * scales)
             nfev += 1
             cost_trial = 0.5 * float(r_trial @ r_trial)
             predicted = -float(grad @ step) - 0.5 * float(np.sum((j @ step) ** 2))
@@ -359,7 +377,7 @@ def _solve(residuals, jacobian, x0: np.ndarray, bounds: tuple[np.ndarray, np.nda
             if ratio > 0:
                 converged = small_step or (reduction < _TOLERANCE * cost and ratio > 0.25)
                 u, r, cost = trial, r_trial, cost_trial
-                j = jac(u)
+                j = scaled(jacobian)
                 damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
                 growth = 2.0
                 break
@@ -384,17 +402,17 @@ def _solve(residuals, jacobian, x0: np.ndarray, bounds: tuple[np.ndarray, np.nda
 
 def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
                     make_params, bounds: tuple[np.ndarray, np.ndarray], scales_of,
-                    model, jacobian) -> tuple[FitReport, np.ndarray]:
+                    line_shape) -> tuple[FitReport, np.ndarray]:
     """Least-squares fit of a hanger line shape, shared by both fits.
 
     The fit vector, labelled by ``names``, starts with the seven linear
     parameters.  ``start()`` gives the starting parameters after the input
     guards; ``to_vector``/``make_params`` map parameters to vectors and
     back; ``scales_of(x0)`` gives unit scales at the start clipped to
-    ``bounds``.  ``model(params, freqs)`` is S21 and ``jacobian(params,
-    freqs, f_center)`` the derivative of its stacked real/imaginary parts
-    with the phase at ``f_center`` (see :func:`_fit_variables`).  The solve
-    is :func:`_solve`.
+    ``bounds``.  ``line_shape(params, freqs)`` is a :func:`_line_shape`:
+    S21 and a function giving the derivative of its stacked real/imaginary
+    parts with the phase at a given centre (see :func:`_fit_variables`).
+    Each :func:`_solve` evaluation calls it once.
 
     ``converged`` is False when the evaluation budget runs out or the
     solution leaves the domain; the report then holds the start.  Returns
@@ -414,13 +432,13 @@ def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
     freqs, data = trace.freqs, trace.s21
     f_center = float(np.mean(freqs))
 
-    def residuals(x):
-        diff = model(_params_at(x, f_center, make_params), freqs) - data
-        return np.concatenate([diff.real, diff.imag])
+    def evaluate(x):
+        s21, jacobian = line_shape(_params_at(x, f_center, make_params), freqs)
+        diff = s21 - data
+        return np.concatenate([diff.real, diff.imag]), lambda: jacobian(f_center)
 
-    x, cov, resid, converged = _solve(
-        residuals, lambda x: jacobian(_params_at(x, f_center, make_params), freqs, f_center),
-        _fit_variables(x0, f_center), bounds, scales_of(x0))
+    x, cov, resid, converged = _solve(evaluate, _fit_variables(x0, f_center), bounds,
+                                      scales_of(x0))
     try:
         params = _params_at(x, f_center, make_params)
     except ParameterError:
@@ -461,13 +479,14 @@ def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None) -> FitR
     NoResonanceError
         Propagated from the initial estimate.
     """
+    sigma = _noise_sigma(trace.s21)
     report, resid = _fit_line_shape(
-        trace, _PARAM_NAMES, lambda: guess if guess is not None else estimate_initial(trace),
+        trace, _PARAM_NAMES,
+        lambda: guess if guess is not None else _estimate_initial(trace, sigma),
         _params_to_vector, _vector_to_params, _linear_bounds(trace),
-        lambda x0: _linear_scales(x0, trace), eval_linear_s21, _linear_jacobian)
+        lambda x0: _linear_scales(x0, trace), _linear_line_shape)
     params = report.params
 
-    sigma = _noise_sigma(trace.s21)
     snr = params.amplitude / sigma if sigma > 0 else np.inf
     autocorr = _residual_autocorr(resid)
 

@@ -12,8 +12,9 @@ Fits run on log10(delta_i) residuals: sweeps span many decades in photon
 number and loss, and linear-space residuals would let the lossiest points
 dominate.  An optional two-photon term ``two_photon*n/f_r`` models loss
 that *grows* with photon number.  The solve is the package's one
-least-squares core (``linearfit._solve``) with the closed-form Jacobian of
-the log10 residuals; like the line-shape fits, a fit that runs out of its
+least-squares core (``linearfit._solve``); each evaluation gives the log10
+residuals and builds their closed-form Jacobian from the same model terms
+(:func:`_tls_loss`).  Like the line-shape fits, a fit that runs out of its
 evaluation budget reports ``converged=False`` rather than raising.
 """
 
@@ -54,29 +55,29 @@ def eval_combined_loss(t: TlsParams, two_photon: float, photon_number) -> np.nda
 _LN10 = float(np.log(10.0))
 
 
-def _tls_model(x: np.ndarray, n: np.ndarray, tanh_factor: float, f_r: float) -> np.ndarray:
+def _tls_loss(x: np.ndarray, n: np.ndarray, tanh_factor: float, f_r: float):
     """Loss at fit vector ``x`` (TLS amplitude, log10 n_c, alpha, delta_0 and,
-    when present, the two-photon rate)."""
+    when present, the two-photon rate), floored at 1e-300, and a zero-argument
+    function for the exact Jacobian of its log10: column j is d(loss)/dx_j
+    over ln10*loss."""
     tls_amp, log10_nc, alpha, delta_0 = x[:4]
-    loss = tls_amp * tanh_factor / (1.0 + n / 10.0**log10_nc) ** alpha + delta_0
+    ratio = n / 10.0**log10_nc
+    power = (1.0 + ratio) ** alpha
+    loss = tls_amp * tanh_factor / power + delta_0
     if x.size > 4:
         loss = loss + x[4] * n / f_r
-    return loss
+    loss = np.maximum(loss, 1e-300)
 
+    def jacobian():
+        shape = tanh_factor / power
+        tls = tls_amp * shape
+        columns = [shape, _LN10 * alpha * tls * ratio / (1.0 + ratio),
+                   -tls * np.log1p(ratio), np.ones(n.size)]
+        if x.size > 4:
+            columns.append(n / f_r)
+        return np.column_stack(columns) / (_LN10 * loss)[:, None]
 
-def _tls_jacobian(x: np.ndarray, n: np.ndarray, tanh_factor: float, f_r: float) -> np.ndarray:
-    """Exact Jacobian of the log10 residuals: column j is d(model)/dx_j over
-    ln10*model."""
-    tls_amp, log10_nc, alpha, _ = x[:4]
-    ratio = n / 10.0**log10_nc
-    shape = tanh_factor / (1.0 + ratio) ** alpha
-    tls = tls_amp * shape
-    columns = [shape, _LN10 * alpha * tls * ratio / (1.0 + ratio),
-               -tls * np.log1p(ratio), np.ones(n.size)]
-    if x.size > 4:
-        columns.append(n / f_r)
-    model = np.maximum(_tls_model(x, n, tanh_factor, f_r), 1e-300)
-    return np.column_stack(columns) / (_LN10 * model)[:, None]
+    return loss, jacobian
 
 
 def _tls_start(n: np.ndarray, loss: np.ndarray, tanh_factor: float, f_r: float,
@@ -89,13 +90,14 @@ def _tls_start(n: np.ndarray, loss: np.ndarray, tanh_factor: float, f_r: float,
     # gives the TLS amplitude.
     delta_0 = 0.8 * float(np.min(loss))
     amp = max((float(loss_sorted[0]) - delta_0) / tanh_factor, 1e-12)
-    # Knee: photon number where the TLS part has dropped to half its amplitude.
+    # Knee: photon number where the TLS part has dropped to half its
+    # amplitude, just before the first point at or below half; a two-photon
+    # upturn may rise above half again at the highest powers.
     half = delta_0 + 0.5 * amp * tanh_factor
-    above = loss_sorted > half
-    if above.any() and not above.all():
-        idx = int(np.nonzero(above)[0][-1])
-        idx = min(idx, n_sorted.size - 2)
-        n_c = float(np.sqrt(max(n_sorted[idx], 1e-12) * max(n_sorted[idx + 1], 1e-12)))
+    below = loss_sorted <= half
+    if below.any() and not below.all():
+        idx = max(int(np.argmax(below)), 1)
+        n_c = float(np.sqrt(max(n_sorted[idx - 1], 1e-12) * max(n_sorted[idx], 1e-12)))
     else:
         n_c = float(np.sqrt(max(n_sorted[0], 1e-3) * n_sorted[-1]))
     x0 = [min(amp, 0.99), np.log10(min(max(n_c, 1e-6), 1e15)), 0.5,
@@ -162,10 +164,13 @@ def fit_tls(photon_numbers, losses, temperature: float, f_r: float,
 
     tanh_factor = thermal_tanh_factor(f_r, temperature)
     log_loss = np.log10(loss)
+
+    def evaluate(x):
+        model, jacobian = _tls_loss(x, n, tanh_factor, f_r)
+        return np.log10(model) - log_loss, jacobian
+
     x_fit, cov, resid, converged = _solve(
-        lambda x: np.log10(np.maximum(_tls_model(x, n, tanh_factor, f_r), 1e-300)) - log_loss,
-        lambda x: _tls_jacobian(x, n, tanh_factor, f_r),
-        *_tls_start(n, loss, tanh_factor, f_r, include_two_photon))
+        evaluate, *_tls_start(n, loss, tanh_factor, f_r, include_two_photon))
     raw_errors = [float(np.sqrt(max(c, 0.0))) for c in np.diag(cov)]
 
     tls_amp, log10_nc, alpha, delta_0 = x_fit[:4]

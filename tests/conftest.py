@@ -97,3 +97,29 @@ def base_linear():
     return LinearParams(amplitude=1.0, electric_delay=0.0, phase_offset=0.0,
                         fano_asymmetry=0.0, resonant_freq=5e9,
                         internal_loss=5e-7, coupling_loss=1e-6)
+
+
+def record_solves(monkeypatch, module):
+    """Replace ``module._solve`` by a wrapper that records the evaluator,
+    start and scales of each solve; returns the list of records."""
+    records = []
+    solve = module._solve
+
+    def recording(evaluate, x0, bounds, scales):
+        records.append((evaluate, x0, scales))
+        return solve(evaluate, x0, bounds, scales)
+
+    monkeypatch.setattr(module, "_solve", recording)
+    return records
+
+
+def assert_jacobians_built_at_their_points(evaluate, x0, scales):
+    """The Jacobian an evaluation returns equals one computed from scratch
+    at the same point, even when evaluations at another point came between."""
+    x1 = x0 + 0.01 * scales
+    _, jacobian0 = evaluate(x0)
+    _, jacobian1 = evaluate(x1)
+    built0, built1 = jacobian0(), jacobian1()
+    np.testing.assert_array_equal(built0, evaluate(x0)[1]())
+    np.testing.assert_array_equal(built1, evaluate(x1)[1]())
+    assert not np.array_equal(built0, built1)

@@ -28,23 +28,26 @@ from hangerfit import (
     selected_photon_numbers,
     synthesize_nonlinear,
 )
+from hangerfit import duffing, linearfit
 from hangerfit.duffing import (
     _nl_params,
     _nl_scales,
     _nl_vector,
-    _nonlinear_jacobian,
+    _nonlinear_line_shape,
     branch_jump_indices,
     positive_cubic_roots,
 )
-from hangerfit.linearfit import _fit_variables, _linear_jacobian, _params_at
+from hangerfit.linearfit import _fit_variables, _linear_line_shape, _params_at
 
 from conftest import (
+    assert_jacobians_built_at_their_points,
     bisection_roots,
     central_difference_jacobian,
     column_relative_errors,
     cubic_value,
     drive_flux_for_xi,
     oracle_root_count,
+    record_solves,
 )
 
 TWO_PI = 2 * math.pi
@@ -315,8 +318,8 @@ class TestNonlinearJacobian:
             return np.concatenate([s21.real, s21.imag])
 
         u = _fit_variables(x, f_center) / scales
-        jac = _nonlinear_jacobian(params_at(u), self.FREQS, f_center,
-                                  BranchPolicy.SWEEP_UP) * scales
+        jac = _nonlinear_line_shape(params_at(u), self.FREQS,
+                                    BranchPolicy.SWEEP_UP)[1](f_center) * scales
         reference = central_difference_jacobian(model, u)
         assert np.all(column_relative_errors(jac, reference) <= 1e-5)
 
@@ -324,8 +327,9 @@ class TestNonlinearJacobian:
         lin = make_linear(fano_asymmetry=0.3, electric_delay=50e-9)
         p = NonlinearParams(linear=lin, kerr=0.0, two_photon=0.0, drive_flux=1e12)
         f_center = float(np.mean(self.FREQS))
-        jac = _nonlinear_jacobian(p, self.FREQS, f_center, BranchPolicy.SWEEP_UP)
-        np.testing.assert_array_equal(jac[:, :7], _linear_jacobian(lin, self.FREQS, f_center))
+        jac = _nonlinear_line_shape(p, self.FREQS, BranchPolicy.SWEEP_UP)[1](f_center)
+        np.testing.assert_array_equal(jac[:, :7],
+                                      _linear_line_shape(lin, self.FREQS)[1](f_center))
 
 
 class TestEllipticityMetric:
@@ -373,6 +377,44 @@ class TestFitNonlinear:
         assert report.converged
         assert report.params.kerr == pytest.approx(truth.kerr, rel=0.05)
         assert report.params.two_photon == pytest.approx(truth.two_photon, rel=0.05)
+
+    def test_cubic_solved_once_per_evaluation(self, monkeypatch):
+        truth, trace = self.synthesize_case(-0.3, 0.1, 0.01, seed=3)
+        guess = seed_nonlinear_guess(trace, truth.linear, truth.drive_flux)
+        cubic_solves = []
+        select = duffing.selected_photon_numbers
+
+        def counting_select(*args):
+            cubic_solves.append(args)
+            return select(*args)
+
+        evaluations, jacobians = [], []
+        solve = linearfit._solve
+
+        def counting_solve(evaluate, *args):
+            def counted(x):
+                evaluations.append(x)
+                r, jacobian = evaluate(x)
+
+                def counted_jacobian():
+                    jacobians.append(x)
+                    return jacobian()
+                return r, counted_jacobian
+            return solve(counted, *args)
+
+        monkeypatch.setattr(duffing, "selected_photon_numbers", counting_select)
+        monkeypatch.setattr(linearfit, "_solve", counting_solve)
+        report = fit_nonlinear(trace, guess, "sweep_up")
+        assert report.converged
+        assert len(jacobians) >= 2
+        # One solve per evaluation, one for the branch check at the solution.
+        assert len(cubic_solves) == len(evaluations) + 1
+
+    def test_fit_evaluation_builds_its_jacobian_at_its_point(self, monkeypatch):
+        truth, trace = self.synthesize_case(-0.3, 0.1, 0.01, seed=3)
+        records = record_solves(monkeypatch, linearfit)
+        fit_nonlinear(trace, seed_nonlinear_guess(trace, truth.linear, truth.drive_flux))
+        assert_jacobians_built_at_their_points(*records[0])
 
     def test_zero_two_photon_recovered_as_zero(self):
         truth, trace = self.synthesize_case(-0.05, 0.0, 0.01, seed=7)

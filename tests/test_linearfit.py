@@ -17,10 +17,11 @@ from hangerfit import (
     loaded_linewidth,
     synthesize_linear,
 )
+from hangerfit import linearfit
 from hangerfit.duffing import seed_nonlinear_guess
 from hangerfit.linearfit import (
     _fit_variables,
-    _linear_jacobian,
+    _linear_line_shape,
     _linear_scales,
     _noise_sigma,
     _params_at,
@@ -29,7 +30,12 @@ from hangerfit.linearfit import (
     _vector_to_params,
 )
 
-from conftest import central_difference_jacobian, column_relative_errors
+from conftest import (
+    assert_jacobians_built_at_their_points,
+    central_difference_jacobian,
+    column_relative_errors,
+    record_solves,
+)
 
 
 def make_params(**overrides):
@@ -219,9 +225,14 @@ class TestLinearJacobian:
             return np.concatenate([s21.real, s21.imag])
 
         u = _fit_variables(x, f_center) / scales
-        jac = _linear_jacobian(params_at(u), freqs, f_center) * scales
+        jac = _linear_line_shape(params_at(u), freqs)[1](f_center) * scales
         reference = central_difference_jacobian(model, u)
         assert np.all(column_relative_errors(jac, reference) <= 1e-5)
+
+    def test_fit_evaluation_builds_its_jacobian_at_its_point(self, monkeypatch):
+        records = record_solves(monkeypatch, linearfit)
+        fit_linear(make_trace(make_params(fano_asymmetry=0.2), noise=0.01, seed=4))
+        assert_jacobians_built_at_their_points(*records[0])
 
 
 class TestSolve:
@@ -236,7 +247,7 @@ class TestSolve:
         design = rng.normal(size=(40, 3)) * np.array([1.0, 1e3, 1e-4])
         target = rng.normal(size=40)
         scales = np.array([1.0, 1e-3, 1e4])
-        x, cov, resid, converged = _solve(lambda x: design @ x - target, lambda x: design,
+        x, cov, resid, converged = _solve(lambda x: (design @ x - target, lambda: design),
                                           np.zeros(3), self.unbounded(3), scales)
         reference, *_ = np.linalg.lstsq(design, target, rcond=None)
         assert converged
@@ -247,13 +258,11 @@ class TestSolve:
                                    rtol=1e-9)
 
     def test_rosenbrock_reaches_its_minimum(self):
-        def residuals(x):
-            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        def evaluate(x):
+            return (np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+                    lambda: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
 
-        def jacobian(x):
-            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-
-        x, _, _, converged = _solve(residuals, jacobian, np.array([-1.2, 1.0]),
+        x, _, _, converged = _solve(evaluate, np.array([-1.2, 1.0]),
                                     self.unbounded(2), np.ones(2))
         assert converged
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-8)
@@ -264,7 +273,7 @@ class TestSolve:
         design = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [2.0, 1.0]])
         target = design @ np.array([2.0, -1.0]) + np.array([0.1, -0.1, 0.05, 0.0])
         bounds = (np.full(2, -np.inf), np.array([1.0, np.inf]))
-        x, cov, _, converged = _solve(lambda x: design @ x - target, lambda x: design,
+        x, cov, _, converged = _solve(lambda x: (design @ x - target, lambda: design),
                                       np.zeros(2), bounds, np.ones(2))
         reduced, *_ = np.linalg.lstsq(design[:, 1:], target - design[:, 0], rcond=None)
         assert converged
@@ -278,22 +287,21 @@ class TestSolve:
         solution, *_ = np.linalg.lstsq(design, target, rcond=None)
         calls = []
 
-        def residuals(x):
+        def evaluate(x):
             calls.append(x)
-            return design @ x - target
+            return design @ x - target, lambda: design
 
-        x, _, _, converged = _solve(residuals, lambda x: design, solution,
-                                    self.unbounded(2), np.ones(2))
+        x, _, _, converged = _solve(evaluate, solution, self.unbounded(2), np.ones(2))
         assert converged
         assert len(calls) == 1
         np.testing.assert_array_equal(x, solution)
 
     def test_nan_residual_raises(self):
         with pytest.raises(NonConvergenceError):
-            _solve(lambda x: np.full(4, np.nan), lambda x: np.ones((4, 2)),
+            _solve(lambda x: (np.full(4, np.nan), lambda: np.ones((4, 2))),
                    np.zeros(2), self.unbounded(2), np.ones(2))
 
     def test_zero_jacobian_is_singular(self):
         with pytest.raises(SingularJacobianError):
-            _solve(lambda x: np.array([1.0, 2.0, 3.0]), lambda x: np.zeros((3, 2)),
+            _solve(lambda x: (np.array([1.0, 2.0, 3.0]), lambda: np.zeros((3, 2))),
                    np.zeros(2), self.unbounded(2), np.ones(2))

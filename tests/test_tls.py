@@ -11,11 +11,16 @@ from hangerfit import (
     eval_tls_loss,
     fit_tls,
 )
-from hangerfit import linearfit
+from hangerfit import linearfit, tls
 from hangerfit.model import thermal_tanh_factor
-from hangerfit.tls import _tls_jacobian, _tls_model, _tls_start
+from hangerfit.tls import _tls_loss, _tls_start
 
-from conftest import central_difference_jacobian, column_relative_errors
+from conftest import (
+    assert_jacobians_built_at_their_points,
+    central_difference_jacobian,
+    column_relative_errors,
+    record_solves,
+)
 
 
 def make_tls(**overrides):
@@ -137,6 +142,14 @@ class TestFitTls:
         assert report.details["two_photon_hz"] == pytest.approx(two_photon, rel=0.05)
         assert report.params.delta_0 == pytest.approx(truth.delta_0, rel=0.10)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_upturn_leaves_the_start_knee_within_a_decade(self, seed):
+        truth = make_tls()
+        n, losses = synthesize_points(truth, noise=0.01, seed=seed, two_photon=0.025)
+        x0, _, _ = _tls_start(n, losses, thermal_tanh_factor(truth.f_r, truth.temperature),
+                              truth.f_r, include_two_photon=True)
+        assert abs(x0[1] - np.log10(truth.n_c)) <= 1.0
+
     def test_three_points_insufficient(self):
         with pytest.raises(InsufficientSpanError):
             fit_tls([1.0, 1e4, 1e8], [1e-6, 8e-7, 5e-7], 0.010, 5e9)
@@ -196,10 +209,19 @@ class TestTlsJacobian:
                                    include_two_photon=two_photon is not None)
 
         def residuals(u):
-            return np.log10(_tls_model(u * scales, n, tanh_factor, truth.f_r)) - np.log10(losses)
+            return np.log10(_tls_loss(u * scales, n, tanh_factor, truth.f_r)[0]) - np.log10(losses)
 
         u = x0 / scales
-        jac = _tls_jacobian(u * scales, n, tanh_factor, truth.f_r) * scales
+        jac = _tls_loss(u * scales, n, tanh_factor, truth.f_r)[1]() * scales
         reference = central_difference_jacobian(residuals, u)
         assert jac.shape == (n.size, 4 if two_photon is None else 5)
         assert np.all(column_relative_errors(jac, reference) <= 1e-5)
+
+    @pytest.mark.parametrize("two_photon", [None, 20.0])
+    def test_fit_evaluation_builds_its_jacobian_at_its_point(self, monkeypatch, two_photon):
+        truth = make_tls()
+        n, losses = synthesize_points(truth, noise=0.01, seed=7, two_photon=two_photon or 0.0)
+        records = record_solves(monkeypatch, tls)
+        fit_tls(n, losses, truth.temperature, truth.f_r,
+                include_two_photon=two_photon is not None)
+        assert_jacobians_built_at_their_points(*records[0])

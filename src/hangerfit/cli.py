@@ -160,20 +160,21 @@ def cmd_fit_sweep(args) -> int:
 
     # Lowest power anchors the environment and the nonlinearity baseline.
     base_linear: LinearParams = fitted[0][1].params
-    ellipticities = [ellipticity_metric(trace, base_linear) for trace, _, _ in fitted]
-    baseline_ellipticity = max(ellipticities[0], 1e-15)
 
     points = []
     reports = []
     excluded_powers = []
     for index, (trace, report, n_bar) in enumerate(fitted):
         power_dbm = manifest.entries[index][1]
-        metric = ellipticities[index]
         details = dict(report.details)
         details["photon_number"] = n_bar
-        details["ellipticity"] = metric
         excluded = False
         if args.exclude_nonlinear_powers:
+            with _at_power(power_dbm):
+                metric = ellipticity_metric(trace, base_linear)
+            if index == 0:
+                baseline_ellipticity = max(metric, 1e-15)
+            details["ellipticity"] = metric
             flux = input_photon_flux(dbm_to_watts(power_dbm - manifest.attenuation),
                                      base_linear.resonant_freq)
             try:
@@ -213,7 +214,7 @@ def cmd_fit_sweep(args) -> int:
                   "input_digest": input_digest(trace_paths)}
     per_power_details = [
         {key: r.details[key] for key in ("photon_number", "ellipticity",
-                                         "excluded_nonlinear")}
+                                         "excluded_nonlinear") if key in r.details}
         for r in reports]
     write_report([tls_report] + reports, out, provenance=provenance,
                  summary={"per_power_details": per_power_details})

@@ -182,8 +182,8 @@ def positive_cubic_roots(xi: float, eta: float, dtilde) -> tuple[np.ndarray, np.
         b = c1_c / c3
         c = -0.5 / c3
         p = b - a * a / 3.0
-        q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-        disc = -4.0 * p**3 - 27.0 * q * q
+        q = 2.0 * a * a * a / 27.0 - a * b / 3.0 + c
+        disc = -4.0 * p * p * p - 27.0 * q * q
 
         sub = np.full((c2_c.size, 3), np.nan)
         three = disc > 0.0
@@ -198,7 +198,7 @@ def positive_cubic_roots(xi: float, eta: float, dtilde) -> tuple[np.ndarray, np.
         one = ~three
         if np.any(one):
             p1, q1, a1 = p[one], q[one], a[one]
-            s = np.sqrt(np.maximum(0.25 * q1 * q1 + p1**3 / 27.0, 0.0))
+            s = np.sqrt(np.maximum(0.25 * q1 * q1 + p1 * p1 * p1 / 27.0, 0.0))
             w = -0.5 * q1 - np.where(q1 >= 0, 1.0, -1.0) * s
             u = np.cbrt(w)
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -283,7 +283,7 @@ def branch_jump_indices(selected: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def eval_nonlinear_s21(p: NonlinearParams, freqs,
                        policy: BranchPolicy | str = BranchPolicy.SWEEP_UP) -> np.ndarray:
     """Nonlinear transmission at the given frequencies (Hz)."""
-    s21, _ = _nonlinear_line_shape(p, np.asarray(freqs, dtype=float), policy)
+    s21, _, _ = _nonlinear_line_shape(p, np.asarray(freqs, dtype=float), policy)
     return s21
 
 
@@ -337,8 +337,10 @@ def seed_nonlinear_guess(trace: FrequencyTrace, linear: LinearParams,
 
 def _nonlinear_line_shape(p: NonlinearParams, freqs: np.ndarray,
                           policy: BranchPolicy | str):
-    """The nonlinear model as a :func:`~hangerfit.linearfit._line_shape`:
-    ``(s21, jacobian)``.
+    """The nonlinear model as a :func:`~hangerfit.linearfit._line_shape`,
+    and the photon numbers it was evaluated with: ``(s21, jacobian, (xi,
+    eta, atilde_sq, nt, counts))``, where ``nt`` is the selected root per
+    point and ``counts`` the number of positive roots.
 
     The photon-number cubic is solved once, here; the Jacobian reuses this
     evaluation's root ``nt``, detuning ``dt``, ``xi``, ``eta`` and
@@ -352,7 +354,7 @@ def _nonlinear_line_shape(p: NonlinearParams, freqs: np.ndarray,
     lin = p.linear
     xi, eta, atilde_sq = normalized_drive_params(p)
     dt = normalized_detuning(lin, freqs)
-    nt, _ = selected_photon_numbers(xi, eta, dt, policy)
+    nt, counts = selected_photon_numbers(xi, eta, dt, policy)
     denom = 1.0 + eta * nt + 2j * (dt - xi * nt)
 
     def d_denom():
@@ -377,7 +379,8 @@ def _nonlinear_line_shape(p: NonlinearParams, freqs: np.ndarray,
         d_nt = -(f_xi * d_xi + f_eta * d_eta + f_dt * d_dt) / f_nt
         return (eta - 2j * xi) * d_nt + nt * (d_eta - 2j * d_xi) + 2j * d_dt
 
-    return _line_shape(lin, freqs, denom, d_denom)
+    s21, jacobian = _line_shape(lin, freqs, denom, d_denom)
+    return s21, jacobian, (xi, eta, atilde_sq, nt, counts)
 
 
 def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
@@ -389,8 +392,9 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
     held fixed at ``guess.drive_flux`` (floating it is degenerate with the
     two rates).  Each evaluation of the solve finds the photon-number
     cubic's roots once per frequency point, and the exact Jacobian at an
-    accepted point reuses them (see :func:`_nonlinear_line_shape`); one
-    more solve checks the selected branch at the solution.
+    accepted point reuses them (see :func:`_nonlinear_line_shape`).  The
+    branch check, ``bifurcated`` and ``max_photon_number`` read the roots of
+    the solution's own evaluation.
 
     Raises
     ------
@@ -407,17 +411,30 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
     policy = BranchPolicy.coerce(policy)
     drive_flux = guess.drive_flux
     lower, upper = _linear_bounds(trace)
+    solution = None
+
+    def line_shape(p, freqs):
+        s21, jacobian, photons = _nonlinear_line_shape(p, freqs, policy)
+
+        def jacobian_here(f_center):
+            # The solve builds a Jacobian only at the points it moves to, so
+            # the last one built is at the solution.
+            nonlocal solution
+            solution = photons
+            return jacobian(f_center)
+        return s21, jacobian_here
+
     report, _ = _fit_line_shape(
         trace, _NL_PARAM_NAMES, lambda: guess, _nl_vector,
         lambda x: _nl_params(x, drive_flux),
         (np.append(lower, [-np.inf, 0.0]), np.append(upper, [np.inf, np.inf])),
-        lambda x0: _nl_scales(x0, trace, drive_flux),
-        lambda p, freqs: _nonlinear_line_shape(p, freqs, policy))
+        lambda x0: _nl_scales(x0, trace, drive_flux), line_shape)
     params, std_errors = report.params, report.std_errors
 
-    xi, eta, atilde_sq = normalized_drive_params(params)
-    dt = normalized_detuning(params.linear, trace.freqs)
-    ntilde, counts = selected_photon_numbers(xi, eta, dt, policy)
+    if params is guess:
+        # The solution left the domain and the report holds the start.
+        solution = _nonlinear_line_shape(guess, trace.freqs, policy)[2]
+    xi, eta, atilde_sq, ntilde, counts = solution
     jumps = branch_jump_indices(ntilde, counts)
     if jumps.size:
         raise BifurcationUnstableError(

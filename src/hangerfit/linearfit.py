@@ -7,7 +7,11 @@ numpy alone, in unit-scaled variables with an exact Jacobian, one evaluation
 budget, one failure policy and standard errors from the Jacobian covariance.
 Each fit hands it one evaluator, which returns the residuals at a point and
 a function that builds the Jacobian at that point from the evaluation's own
-intermediates; the solver builds it only where it needs it.
+intermediates; the solver builds it only where it needs it.  Each solve
+stops at its cost's rounding floor: once the linear model says less than
+:data:`_FLOOR` of the cost is left to gain, rounding in the model (``exp``
+of phases up to ~3000 rad, the cubic's roots) outweighs that gain, and one
+trial that disagrees with the model ends the solve.
 :func:`_fit_line_shape` is the line-shape work of the first two: it needs
 p + 3 points for p parameters, raises :class:`SingularJacobianError` on a
 constant trace, references the phase to the window centre and reports.
@@ -193,6 +197,10 @@ _MAX_ITERATIONS = 200
 # :func:`_solve` stops.
 _TOLERANCE = 1e-14
 
+# Gauss-Newton gain, relative to the cost, at or below which :func:`_solve`
+# treats a point as settled at the cost's rounding floor.
+_FLOOR = 1e-12
+
 
 def _params_to_vector(p: LinearParams) -> np.ndarray:
     return np.array([p.amplitude, p.electric_delay, p.phase_offset,
@@ -301,6 +309,20 @@ def _residual_autocorr(resid: np.ndarray) -> float:
     return float(np.abs(np.sum(resid[:-1] * np.conj(resid[1:]))) / power)
 
 
+def _tall_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of ``a``, from the SVD of
+    its triangular QR factor: the same values as ``a``'s own SVD, at less
+    cost when ``a`` has many more rows than columns."""
+    _, sv, vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
+    return sv, vt
+
+
+def _rank_cutoff(sv: np.ndarray, shape: tuple[int, int]) -> float:
+    """Singular values of a matrix of this shape at or below this are
+    rounding noise."""
+    return float(sv[0]) * max(shape) * np.finfo(float).eps
+
+
 def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
            scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """The least-squares core of every fit: minimize the residuals from
@@ -318,6 +340,7 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     damping term suits every parameter (raw parameters range from ~1e-8 s
     delays to GHz frequencies).  A variable at a bound whose gradient points
     outward is held there; any other step is clipped to the bounds.  The
+    step comes from the SVD of the free columns' triangular QR factor.  The
     solve stops when the cost falls by less than :data:`_TOLERANCE` of
     itself on a good step, the step is below :data:`_TOLERANCE` of the
     variables (tested after the step is taken, as a tiny f_r step matters
@@ -325,6 +348,19 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     :data:`_TOLERANCE`; or after :data:`_MAX_ITERATIONS` * (parameters + 1)
     evaluations.  A trial point with non-finite residuals counts as a
     failed step.
+
+    It also stops at the cost's rounding floor.  At each accepted point the
+    Gauss-Newton gain ``0.5*sum((grad_v/sv)**2)``, over the singular values
+    above the covariance's cut-off, is the most the linear model says any
+    step can still win.  When it is at most :data:`_FLOOR` of the cost the
+    point is settled: the model's rounding noise in the cost (exp of phases
+    up to ~3000 rad, the cubic's roots) is then larger than the gain, and
+    whether a trial lowers the cost is decided by that noise.  The next
+    trial from a settled point ends the solve if its gain ratio (actual
+    over predicted reduction) is below 0.25; the trial is kept if it
+    lowered the cost and dropped otherwise.  A trial that agrees with the
+    model goes on as usual, which keeps exact problems exact.  The last
+    point whose Jacobian was built is always the solution.
 
     Returns ``(x, covariance, residuals, converged)``: the covariance, in
     raw units, is the SVD pseudo-inverse of J^T J times the residual
@@ -359,8 +395,12 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
         if np.max(np.abs(grad[free]), initial=0.0) <= _TOLERANCE:
             converged = True
             break
-        _, sv, vt = np.linalg.svd(j[:, free], full_matrices=False)
+        j_free = j[:, free]
+        sv, vt = _tall_svd(j_free)
         grad_v = vt @ grad[free]
+        # Settled: the Gauss-Newton gain is within the cost's rounding floor.
+        resolved = sv > _rank_cutoff(sv, j_free.shape)
+        settled = 0.5 * float(np.sum((grad_v[resolved] / sv[resolved]) ** 2)) <= _FLOOR * cost
         while nfev < max_nfev:
             step = np.zeros_like(u)
             step[free] = -vt.T @ (grad_v / (sv**2 + damping))
@@ -374,6 +414,14 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
             ratio = reduction / predicted if predicted > 0 else -1.0
             small_step = (float(np.linalg.norm(step))
                           <= _TOLERANCE * (_TOLERANCE + float(np.linalg.norm(trial))))
+            if settled and ratio < 0.25:
+                # The evaluation cannot resolve what is left to gain: keep
+                # the trial only if it lowered the cost, and stop.
+                converged = True
+                if reduction > 0:
+                    u, r, cost = trial, r_trial, cost_trial
+                    j = scaled(jacobian)
+                break
             if ratio > 0:
                 converged = small_step or (reduction < _TOLERANCE * cost and ratio > 0.25)
                 u, r, cost = trial, r_trial, cost_trial
@@ -392,10 +440,10 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
         raise NonConvergenceError("least-squares fit failed: non-finite solution")
     m, p = j.shape
     s_squared = float(r @ r) / max(m - p, 1)
-    _, sv, vt = np.linalg.svd(j, full_matrices=False)
+    sv, vt = _tall_svd(j)
     if sv.size == 0 or sv[0] <= 0.0:
         raise SingularJacobianError("Jacobian is identically zero")
-    inv_sv2 = 1.0 / np.maximum(sv, sv[0] * max(m, p) * np.finfo(float).eps) ** 2
+    inv_sv2 = 1.0 / np.maximum(sv, _rank_cutoff(sv, j.shape)) ** 2
     cov = (vt.T * inv_sv2) @ vt * s_squared * np.outer(scales, scales)
     return x, cov, r, converged
 

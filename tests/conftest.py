@@ -113,6 +113,35 @@ def record_solves(monkeypatch, module):
     return records
 
 
+def record_costs(monkeypatch, module):
+    """Replace ``module._solve`` by a wrapper that records the cost,
+    0.5*sum(residuals**2), of each evaluation; returns one list per solve."""
+    costs = []
+    solve = module._solve
+
+    def recording(evaluate, x0, bounds, scales):
+        solve_costs = []
+        costs.append(solve_costs)
+
+        def recorded(x):
+            r, jacobian = evaluate(x)
+            solve_costs.append(0.5 * float(r @ r))
+            return r, jacobian
+
+        return solve(recorded, x0, bounds, scales)
+
+    monkeypatch.setattr(module, "_solve", recording)
+    return costs
+
+
+def evaluations_at_floor(costs, rel=1e-10):
+    """Evaluations a solve made after its cost first came within ``rel`` of
+    its final value, the lowest cost it evaluated."""
+    final = min(costs)
+    first = next(i for i, cost in enumerate(costs) if cost - final <= rel * final)
+    return len(costs) - 1 - first
+
+
 def assert_jacobians_built_at_their_points(evaluate, x0, scales):
     """The Jacobian an evaluation returns equals one computed from scratch
     at the same point, even when evaluations at another point came between."""

@@ -255,6 +255,24 @@ class TestFitSweepCommand:
         assert "NoResonanceError" in err
         assert power in err
 
+    def test_undercoupled_sweep_fits_without_the_ellipticity(self, tmp_path, capsys):
+        # Q_c/Q_i of 100-200 at noise 1e-3: every linear fit succeeds, but the
+        # resonance circle is too small for the ellipticity metric, which only
+        # --exclude-nonlinear-powers uses.
+        manifest_path, _ = simulate(tmp_path, dict(TLS_CONFIG, coupling_q=4.0e8,
+                                                   noise_sigma=1e-3))
+        out = tmp_path / "sweep.json"
+        assert run(["fit-sweep", manifest_path, "--out", out,
+                    "--plot-table", tmp_path / "qi.csv"]) == 0
+        reports, meta = read_report(out)
+        assert all("ellipticity" not in r.details for r in reports[1:])
+        assert all("ellipticity" not in d for d in meta["summary"]["per_power_details"])
+        code = run(["fit-sweep", manifest_path, "--exclude-nonlinear-powers",
+                    "--out", tmp_path / "flagged.json", "--plot-table", tmp_path / "f.csv"])
+        if code != 0:
+            assert code == 3
+            assert "dBm failed: circle radius" in capsys.readouterr().err
+
 
 def touchstone_copy(manifest_path, out_dir):
     """RI .s2p copy of every trace of a sweep, with a manifest naming them."""

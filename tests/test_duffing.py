@@ -1,6 +1,7 @@
 """Duffing core: cubic roots vs oracles, line shape, fits, extraction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +47,9 @@ from conftest import (
     column_relative_errors,
     cubic_value,
     drive_flux_for_xi,
+    evaluations_at_floor,
     oracle_root_count,
+    record_costs,
     record_solves,
 )
 
@@ -183,6 +186,16 @@ class TestCubicSolver:
         np.testing.assert_array_equal(mixed_roots[keep], roots)
         np.testing.assert_array_equal(mixed_counts[keep], single_counts)
         assert mixed_counts[~keep][0] == 3
+
+    def test_strong_drive_raises_no_warning(self):
+        dt = np.linspace(-20.0, 20.0, 401)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots, counts = positive_cubic_roots(3.0, 10.0, dt)
+        np.testing.assert_allclose(roots[::40, 0],
+                                   [bisection_roots(3.0, 10.0, d)[0] for d in dt[::40]],
+                                   rtol=1e-9)
+        assert np.all(counts == 1)
 
     def test_rejects_negative_eta(self):
         with pytest.raises(ParameterError):
@@ -353,8 +366,8 @@ class TestEllipticityMetric:
 
 class TestFitNonlinear:
     def synthesize_case(self, xi_target, eta_target, noise, seed, kerr=-1.5e3,
-                        span_linewidths=12.0, n_points=501):
-        lin = make_linear()
+                        span_linewidths=12.0, n_points=501, **linear):
+        lin = make_linear(**linear)
         flux = drive_flux_for_xi(lin, kerr, xi_target)
         kappa_hz = lin.resonant_freq * lin.total_loss
         base = NonlinearParams(linear=lin, kerr=kerr, two_photon=0.0, drive_flux=flux)
@@ -407,8 +420,37 @@ class TestFitNonlinear:
         report = fit_nonlinear(trace, guess, "sweep_up")
         assert report.converged
         assert len(jacobians) >= 2
-        # One solve per evaluation, one for the branch check at the solution.
-        assert len(cubic_solves) == len(evaluations) + 1
+        # One solve per evaluation; the branch check reuses the solution's.
+        assert len(cubic_solves) == len(evaluations)
+
+    def test_solve_stops_at_the_rounding_floor(self, monkeypatch):
+        # A 50 ns delay puts phases of ~1600 rad into the model's exp.
+        truth, trace = self.synthesize_case(-0.3, 0.1, 0.01, seed=2, electric_delay=50e-9,
+                                            phase_offset=0.3)
+        costs = record_costs(monkeypatch, linearfit)
+        report = fit_nonlinear(trace, seed_nonlinear_guess(trace, truth.linear,
+                                                           truth.drive_flux))
+        assert report.converged
+        assert evaluations_at_floor(costs[0]) <= 2
+
+    def test_solution_outside_the_domain_reports_the_start(self, monkeypatch):
+        truth, trace = self.synthesize_case(-0.3, 0.1, 0.01, seed=3)
+        guess = seed_nonlinear_guess(trace, truth.linear, truth.drive_flux)
+        solve = linearfit._solve
+
+        def negative_internal_loss(*args):
+            x, cov, resid, converged = solve(*args)
+            x = x.copy()
+            x[5] = -x[5]
+            return x, cov, resid, converged
+
+        monkeypatch.setattr(linearfit, "_solve", negative_internal_loss)
+        report = fit_nonlinear(trace, guess, "sweep_up")
+        assert not report.converged
+        assert report.params is guess
+        assert report.details["xi"] == normalized_drive_params(guess)[0]
+        assert report.details["max_photon_number"] == np.max(
+            photon_numbers(guess, trace.freqs, "sweep_up"))
 
     def test_fit_evaluation_builds_its_jacobian_at_its_point(self, monkeypatch):
         truth, trace = self.synthesize_case(-0.3, 0.1, 0.01, seed=3)

@@ -34,6 +34,8 @@ from conftest import (
     assert_jacobians_built_at_their_points,
     central_difference_jacobian,
     column_relative_errors,
+    evaluations_at_floor,
+    record_costs,
     record_solves,
 )
 
@@ -117,7 +119,16 @@ class TestFitLinear:
             assert getattr(fitted, name) == pytest.approx(getattr(p, name),
                                                           rel=1e-6, abs=1e-9)
         assert fitted.electric_delay == pytest.approx(30e-9, rel=1e-6)
-        assert report.residual_rms < 1e-8
+        assert report.residual_rms < 1e-12
+
+    def test_solve_stops_at_the_rounding_floor(self, monkeypatch):
+        # A 100 ns delay puts phases of ~3000 rad into the model's exp.
+        p = make_params(electric_delay=100e-9, phase_offset=0.7, internal_loss=1e-6,
+                        coupling_loss=1e-5)
+        costs = record_costs(monkeypatch, linearfit)
+        report = fit_linear(make_trace(p, span_linewidths=30.0, noise=0.01, seed=4))
+        assert report.converged
+        assert evaluations_at_floor(costs[0]) <= 2
 
     def test_noisy_round_trip(self):
         p = make_params(resonant_freq=5e9, internal_loss=5e-7, coupling_loss=1e-6,

@@ -16,10 +16,8 @@ from .calibration import (
 )
 from .duffing import (
     BranchPolicy,
-    ellipticity_metric,
     eval_nonlinear_s21,
     extract_kerr_two_photon,
-    fit_circle,
     fit_nonlinear,
     normalized_drive_params,
     photon_numbers,
@@ -56,7 +54,6 @@ from .model import (
     LinearParams,
     NonlinearParams,
     TlsParams,
-    diameter_corrected_qc,
     eval_linear_s21,
     loaded_linewidth,
     normalized_detuning,

@@ -11,11 +11,15 @@ Exit codes: 0 success, 2 input/config error, 3 analysis failure.  A
 trace is CSV or Touchstone v1 (``.s2p``), on its own and in a sweep
 manifest alike.  A Touchstone sweep entry takes its power from the
 manifest entry and its attenuation and temperature from the manifest; a
-CSV entry whose ``power_dbm`` differs from its manifest entry is an input
-error.  The sweep commands fit the powers one after another, lowest power
-first; a failure at one power keeps its error class (and so its exit
-code) and its message names the power.  Reports are written atomically
-(temp file + rename), never partially.
+CSV entry whose ``power_dbm``, ``attenuation_db`` or ``temperature_k``
+differs from its manifest is an input error.  The sweep commands fit the
+powers one after another, lowest power first; a failure at one power keeps
+its error class (and so its exit code) and its message names the power.
+``fit-sweep --exclude-nonlinear-powers`` leaves out of the TLS fit each
+power whose own linear fit reports ``nonlinear_suspected``: lag-1
+autocorrelation of the residuals above 0.5 and residual rms above 3 sigma
+of the trace's noise.  Reports are written atomically (temp file +
+rename), never partially.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 from .calibration import dbm_to_watts, input_photon_flux, mean_photon_number
 from .duffing import (
     BranchPolicy,
-    ellipticity_metric,
     extract_kerr_two_photon,
     fit_nonlinear,
     seed_nonlinear_guess,
@@ -65,11 +68,6 @@ from .traceio import (
 
 __all__ = ["main"]
 
-# Powers are flagged nonlinear and excluded from the TLS fit when either
-# holds; both numbers are recorded in the report.
-ELLIPTICITY_FACTOR = 10.0
-XI_THRESHOLD = 0.1
-
 # extract-kerr fails as linear unless a pooled rate is this many standard
 # errors from zero.
 MIN_SLOPE_SIGMAS = 3.0
@@ -81,7 +79,8 @@ def _load_trace(path: str, manifest: SweepManifest | None = None,
 
     Touchstone carries no drive metadata, so a sweep entry takes its power
     from its manifest entry and its attenuation and temperature from the
-    manifest.  A CSV entry must state the power of its manifest entry.
+    manifest.  A CSV entry must state the power of its manifest entry and
+    the manifest's attenuation and temperature.
     """
     if str(path).lower().endswith((".s2p", ".ts")):
         if manifest is None:
@@ -90,10 +89,15 @@ def _load_trace(path: str, manifest: SweepManifest | None = None,
                                 attenuation=manifest.attenuation,
                                 temperature=manifest.temperature)
     trace = parse_csv_trace(path)
-    if power_dbm is not None and trace.instrument_power != power_dbm:
-        raise InputMismatchError(
-            f"{path}: power_dbm={trace.instrument_power!r} disagrees with the "
-            f"manifest entry {power_dbm!r} dBm")
+    if manifest is None:
+        return trace
+    checks = (("power_dbm", trace.instrument_power, "manifest entry", power_dbm, "dBm"),
+              ("attenuation_db", trace.attenuation, "manifest", manifest.attenuation, "dB"),
+              ("temperature_k", trace.temperature, "manifest", manifest.temperature, "K"))
+    for key, stated, source, expected, unit in checks:
+        if stated != expected:
+            raise InputMismatchError(
+                f"{path}: {key}={stated!r} disagrees with the {source} {expected!r} {unit}")
     return trace
 
 
@@ -150,47 +154,23 @@ def cmd_fit_sweep(args) -> int:
     manifest = parse_manifest(args.manifest)
     include_two_photon = args.model == "tls+2photon"
 
-    fitted = []
-    for path, power_dbm in manifest.entries:
-        with _at_power(power_dbm):
-            trace = _load_trace(path, manifest, power_dbm)
-            report = fit_linear(trace)
-            power_w = dbm_to_watts(power_dbm - manifest.attenuation)
-            fitted.append((trace, report, mean_photon_number(power_w, report.params)))
-
-    # Lowest power anchors the environment and the nonlinearity baseline.
-    base_linear: LinearParams = fitted[0][1].params
-
     points = []
     reports = []
     excluded_powers = []
-    for index, (trace, report, n_bar) in enumerate(fitted):
-        power_dbm = manifest.entries[index][1]
-        details = dict(report.details)
-        details["photon_number"] = n_bar
-        excluded = False
-        if args.exclude_nonlinear_powers:
-            with _at_power(power_dbm):
-                metric = ellipticity_metric(trace, base_linear)
-            if index == 0:
-                baseline_ellipticity = max(metric, 1e-15)
-            details["ellipticity"] = metric
-            flux = input_photon_flux(dbm_to_watts(power_dbm - manifest.attenuation),
-                                     base_linear.resonant_freq)
-            try:
-                nl_fit = fit_nonlinear(trace, seed_nonlinear_guess(trace, base_linear, flux))
-                xi = abs(nl_fit.details["xi"])
-            except HangerFitError:
-                xi = math.inf  # unfittable at this power: treat as nonlinear
-            details["abs_xi"] = xi
-            excluded = metric > ELLIPTICITY_FACTOR * baseline_ellipticity or xi > XI_THRESHOLD
-        details["excluded_nonlinear"] = excluded
+    for path, power_dbm in manifest.entries:
+        with _at_power(power_dbm):
+            report = fit_linear(_load_trace(path, manifest, power_dbm))
+            n_bar = mean_photon_number(dbm_to_watts(power_dbm - manifest.attenuation),
+                                       report.params)
+        excluded = (args.exclude_nonlinear_powers
+                    and "nonlinear_suspected" in report.diagnostics)
         if excluded:
             excluded_powers.append(power_dbm)
         else:
             points.append((n_bar, report.params.internal_loss,
                            report.std_errors["internal_loss"]))
-        reports.append(dataclasses.replace(report, details=details))
+        reports.append(dataclasses.replace(report, details={
+            **report.details, "photon_number": n_bar, "excluded_nonlinear": excluded}))
         if args.verbose:
             print(f"power {power_dbm:g} dBm: n={n_bar:.4g} "
                   f"Q_i={report.params.q_internal:.5g} excluded={excluded}")
@@ -200,7 +180,7 @@ def cmd_fit_sweep(args) -> int:
     n_bars = np.array([p[0] for p in points])
     losses = np.array([p[1] for p in points])
     tls_report = fit_tls(n_bars, losses, manifest.temperature,
-                         base_linear.resonant_freq,
+                         reports[0].params.resonant_freq,
                          include_two_photon=include_two_photon)
 
     out = args.out or f"{args.manifest}.report.json"
@@ -208,13 +188,10 @@ def cmd_fit_sweep(args) -> int:
     provenance = {"command": "fit-sweep", "model": args.model,
                   "exclude_nonlinear_powers": bool(args.exclude_nonlinear_powers),
                   "excluded_powers_dbm": excluded_powers,
-                  "ellipticity_factor": ELLIPTICITY_FACTOR,
-                  "xi_threshold": XI_THRESHOLD,
                   "inputs": [os.path.basename(p) for p in trace_paths],
                   "input_digest": input_digest(trace_paths)}
     per_power_details = [
-        {key: r.details[key] for key in ("photon_number", "ellipticity",
-                                         "excluded_nonlinear") if key in r.details}
+        {key: r.details[key] for key in ("photon_number", "excluded_nonlinear")}
         for r in reports]
     write_report([tls_report] + reports, out, provenance=provenance,
                  summary={"per_power_details": per_power_details})
@@ -457,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("manifest", help="sweep manifest JSON path (CSV or .s2p entries)")
     p_sweep.add_argument("--model", choices=["tls", "tls+2photon"], default="tls")
     p_sweep.add_argument("--exclude-nonlinear-powers", action="store_true",
-                         help="drop powers with Duffing tilt or elliptic IQ traces")
+                         help="leave out of the TLS fit each power whose linear fit "
+                              "reports nonlinear_suspected (structured residuals "
+                              "above the noise)")
     p_sweep.add_argument("--plot-table", default=None, help="qi_vs_n CSV path")
     p_sweep.add_argument("--verbose", action="store_true", help="per-power progress")
     p_sweep.set_defaults(func=cmd_fit_sweep)

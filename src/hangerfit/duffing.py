@@ -44,7 +44,6 @@ from .errors import (
     BifurcationUnstableError,
     InsufficientPowersError,
     InternalConsistencyError,
-    LowSignalError,
     ParameterError,
 )
 from .linearfit import (
@@ -57,7 +56,6 @@ from .linearfit import (
     _line_shape_details,
     _linear_bounds,
     _linear_scales,
-    _noise_sigma,
     _params_to_vector,
     _vector_to_params,
 )
@@ -78,8 +76,6 @@ __all__ = [
     "fit_nonlinear",
     "seed_nonlinear_guess",
     "extract_kerr_two_photon",
-    "ellipticity_metric",
-    "fit_circle",
 ]
 
 # Relative root jump (between adjacent grid points, same root count) that
@@ -431,9 +427,6 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
         lambda x0: _nl_scales(x0, trace, drive_flux), line_shape)
     params, std_errors = report.params, report.std_errors
 
-    if params is guess:
-        # The solution left the domain and the report holds the start.
-        solution = _nonlinear_line_shape(guess, trace.freqs, policy)[2]
     xi, eta, atilde_sq, ntilde, counts = solution
     jumps = branch_jump_indices(ntilde, counts)
     if jumps.size:
@@ -511,42 +504,3 @@ def extract_kerr_two_photon(per_power_fits: list[FitReport],
         "photon_number_convention": "max_selected_branch",
     }
     return kerr, two_photon, diagnostics
-
-
-def fit_circle(points: np.ndarray) -> tuple[complex, float]:
-    """Algebraic least-squares circle through complex-plane points."""
-    z = np.asarray(points, dtype=complex).ravel()
-    x, y = z.real, z.imag
-    design = np.column_stack([x, y, np.ones(z.size)])
-    target = x * x + y * y
-    coeff, *_ = np.linalg.lstsq(design, target, rcond=None)
-    center = complex(coeff[0] / 2.0, coeff[1] / 2.0)
-    radius_sq = coeff[2] + abs(center) ** 2
-    if not np.isfinite(radius_sq) or radius_sq <= 0:
-        raise LowSignalError("circle fit degenerate")
-    return center, math.sqrt(radius_sq)
-
-
-def ellipticity_metric(trace: FrequencyTrace, linear_fit: LinearParams) -> float:
-    """Deviation of the environment-removed trace from a perfect circle.
-
-    Pure Kerr response keeps the resonance circle (only traversal speed
-    changes); two-photon loss deforms it toward an ellipse.  Returns
-    max radial deviation over the best-fit circle radius.
-
-    Raises
-    ------
-    LowSignalError
-        If the circle radius is below the noise floor.
-    """
-    env = linear_fit.amplitude * np.exp(
-        1j * (TWO_PI * trace.freqs * linear_fit.electric_delay + linear_fit.phase_offset))
-    z = trace.s21 / env
-    center, radius = fit_circle(z)
-
-    sigma = _noise_sigma(z)
-    if sigma > 0 and radius < 5.0 * sigma:
-        raise LowSignalError(
-            f"circle radius {radius:.3g} below noise floor {5.0 * sigma:.3g}")
-    deviation = np.abs(np.abs(z - center) - radius)
-    return float(np.max(deviation) / radius)

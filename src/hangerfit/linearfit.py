@@ -63,7 +63,10 @@ _MIN_DIP_SIGMA = 3.0
 class FitReport:
     """Result of a parameter fit.
 
-    ``diagnostics`` flags: ``nonlinear_suspected`` (structured residuals),
+    ``diagnostics`` flags: ``nonlinear_suspected`` (a linear fit left
+    structured residuals above the noise: their lag-1 autocorrelation is
+    above 0.5 and their rms above 3 sigma of the trace's noise; ``fit-sweep
+    --exclude-nonlinear-powers`` leaves such powers out of the TLS fit),
     ``bifurcated`` (a nonlinear fit crossed the multi-root region),
     ``low_snr`` (baseline noise too close to the signal).
     ``details`` carries derived scalars such as ``q_i``, ``q_c`` (diameter
@@ -462,8 +465,7 @@ def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
     parts with the phase at a given centre (see :func:`_fit_variables`).
     Each :func:`_solve` evaluation calls it once.
 
-    ``converged`` is False when the evaluation budget runs out or the
-    solution leaves the domain; the report then holds the start.  Returns
+    ``converged`` is False when the evaluation budget runs out.  Returns
     the report, without diagnostics or details, and the complex residuals.
     Raises ParameterError for fewer than p + 3 points, SingularJacobianError
     for a constant trace and NonConvergenceError if the solver fails.
@@ -473,10 +475,8 @@ def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
         raise ParameterError(f"need >= {n_params + 3} points to fit {n_params} parameters")
     if np.ptp(trace.s21.real) == 0.0 and np.ptp(trace.s21.imag) == 0.0:
         raise SingularJacobianError("trace is constant; nothing to fit")
-    guess = start()
-
     lower, upper = bounds
-    x0 = np.minimum(np.maximum(to_vector(guess), lower), upper)
+    x0 = np.minimum(np.maximum(to_vector(start()), lower), upper)
     freqs, data = trace.freqs, trace.s21
     f_center = float(np.mean(freqs))
 
@@ -487,10 +487,7 @@ def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
 
     x, cov, resid, converged = _solve(evaluate, _fit_variables(x0, f_center), bounds,
                                       scales_of(x0))
-    try:
-        params = _params_at(x, f_center, make_params)
-    except ParameterError:
-        params, converged = guess, False
+    params = _params_at(x, f_center, make_params)
 
     # phase_offset = phi_center - 2*pi*f_center*t_d: propagate linearly.
     transform = np.eye(n_params)
@@ -516,7 +513,7 @@ def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None) -> FitR
 
     ``guess`` defaults to :func:`estimate_initial`.  The solve is the shared
     :func:`_fit_line_shape`; ``converged`` is False when the iteration
-    budget is exhausted or the solution sits outside the parameter domain.
+    budget is exhausted.
 
     Raises
     ------

@@ -37,7 +37,6 @@ __all__ = [
     "eval_linear_s21",
     "loaded_linewidth",
     "normalized_detuning",
-    "diameter_corrected_qc",
     "raw_qc",
 ]
 
@@ -105,8 +104,8 @@ class LinearParams:
     """Parameters of the linear hanger line shape.
 
     ``internal_loss`` and ``coupling_loss`` are ``1/Q_i`` and ``1/Q_c``;
-    ``coupling_loss`` is stored as the diameter-corrected value (see
-    :func:`diameter_corrected_qc`).
+    ``coupling_loss`` is stored as the diameter-corrected value (the raw
+    value is :func:`raw_qc`).
     """
 
     amplitude: float          # dimensionless baseline |S21|, > 0
@@ -224,18 +223,6 @@ def eval_linear_s21(p: LinearParams, freqs) -> np.ndarray:
 def loaded_linewidth(p: LinearParams) -> float:
     """Full loaded linewidth ``f_r*(delta_i + delta_c)`` in Hz."""
     return p.resonant_freq * p.total_loss
-
-
-def diameter_corrected_qc(p: LinearParams) -> float:
-    """Diameter-corrected coupling quality factor.
-
-    ``coupling_loss`` is stored post-correction, so this is simply
-    ``1/coupling_loss``.  The companion raw value is recovered with
-    :func:`raw_qc`; fit reports carry both.
-    """
-    if not abs(p.fano_asymmetry) < math.pi / 2:
-        raise ParameterError("asymmetry of +-pi/2 makes the correction degenerate")
-    return 1.0 / p.coupling_loss
 
 
 def raw_qc(p: LinearParams) -> float:

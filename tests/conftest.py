@@ -55,6 +55,28 @@ def bisection_roots(xi, eta, dtilde, n_grid=4000, tol=1e-13):
     return sorted(roots)
 
 
+def fit_circle(points):
+    """Independent oracle: algebraic least-squares circle through
+    complex-plane points, ``(center, radius)``."""
+    z = np.asarray(points, dtype=complex).ravel()
+    design = np.column_stack([z.real, z.imag, np.ones(z.size)])
+    coeff, *_ = np.linalg.lstsq(design, np.abs(z) ** 2, rcond=None)
+    center = complex(coeff[0] / 2.0, coeff[1] / 2.0)
+    return center, float(np.sqrt(coeff[2] + abs(center) ** 2))
+
+
+def circle_deviation(trace, linear):
+    """Max radial deviation over radius, about its best-fit circle, of the
+    trace with the environment of ``linear`` (amplitude, delay, phase)
+    removed.  Pure Kerr response keeps the resonance circle; two-photon
+    loss deforms it."""
+    env = linear.amplitude * np.exp(
+        1j * (2 * np.pi * trace.freqs * linear.electric_delay + linear.phase_offset))
+    z = trace.s21 / env
+    center, radius = fit_circle(z)
+    return float(np.max(np.abs(np.abs(z - center) - radius)) / radius)
+
+
 def oracle_root_count(xi, eta, dtilde):
     """Positive-real-root count via numpy's companion-matrix roots."""
     c3, c2, c1, c0 = cubic_coefficients(xi, eta, dtilde)

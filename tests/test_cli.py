@@ -212,7 +212,7 @@ class TestFitSweepCommand:
         assert rows[0] == "photon_number,q_internal,q_internal_err"
         assert len(rows) == 13
 
-    def test_nonlinear_powers_excluded_from_table(self, tmp_path):
+    def test_nonlinear_powers_excluded_from_table(self, tmp_path, capsys):
         config = dict(TLS_CONFIG, label="X1", kerr_hz=-1.5e3, coupling_q=6250.0,
                       delta_0=4.0e-5,
                       instrument_powers_dbm=list(np.linspace(-85.0, -37.0, 9)),
@@ -220,15 +220,28 @@ class TestFitSweepCommand:
         manifest_path, _ = simulate(tmp_path, config)
         out = tmp_path / "sweep.json"
         table = tmp_path / "qi.csv"
-        code = run(["fit-sweep", manifest_path, "--exclude-nonlinear-powers",
+        capsys.readouterr()
+        code = run(["fit-sweep", manifest_path, "--exclude-nonlinear-powers", "--verbose",
                     "--out", out, "--plot-table", table])
         assert code == 0
-        _, meta = read_report(out)
+        reports, meta = read_report(out)
         excluded = meta["provenance"]["excluded_powers_dbm"]
         assert len(excluded) >= 1
         assert max(excluded) == pytest.approx(-37.0)
         rows = table.read_text().strip().splitlines()
         assert len(rows) - 1 == 9 - len(excluded)
+        # A power is excluded exactly when its own linear fit suspects
+        # nonlinearity, and its report and progress line say so.
+        powers = [power for _, power in parse_manifest(manifest_path).entries]
+        suspected = ["nonlinear_suspected" in r.diagnostics for r in reports[1:]]
+        assert excluded == [p for p, s in zip(powers, suspected) if s]
+        assert [r.details["excluded_nonlinear"] for r in reports[1:]] == suspected
+        assert [d["excluded_nonlinear"] for d in meta["summary"]["per_power_details"]] \
+            == suspected
+        progress = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("power ")]
+        assert [line.split()[1] for line in progress] == [f"{p:g}" for p in powers]
+        assert [line.split("excluded=")[1] for line in progress] == [str(s) for s in suspected]
 
     def test_single_power_is_analysis_error(self, tmp_path, capsys):
         config = dict(TLS_CONFIG, instrument_powers_dbm=[-40.0])
@@ -255,23 +268,18 @@ class TestFitSweepCommand:
         assert "NoResonanceError" in err
         assert power in err
 
-    def test_undercoupled_sweep_fits_without_the_ellipticity(self, tmp_path, capsys):
-        # Q_c/Q_i of 100-200 at noise 1e-3: every linear fit succeeds, but the
-        # resonance circle is too small for the ellipticity metric, which only
-        # --exclude-nonlinear-powers uses.
+    def test_undercoupled_sweep_fits_without_the_ellipticity(self, tmp_path):
+        # Q_c/Q_i of 100-200 at noise 1e-3: every linear fit succeeds and
+        # none suspects nonlinearity, so the flag excludes no power.
         manifest_path, _ = simulate(tmp_path, dict(TLS_CONFIG, coupling_q=4.0e8,
                                                    noise_sigma=1e-3))
         out = tmp_path / "sweep.json"
-        assert run(["fit-sweep", manifest_path, "--out", out,
-                    "--plot-table", tmp_path / "qi.csv"]) == 0
+        assert run(["fit-sweep", manifest_path, "--exclude-nonlinear-powers",
+                    "--out", out, "--plot-table", tmp_path / "qi.csv"]) == 0
         reports, meta = read_report(out)
+        assert meta["provenance"]["excluded_powers_dbm"] == []
         assert all("ellipticity" not in r.details for r in reports[1:])
         assert all("ellipticity" not in d for d in meta["summary"]["per_power_details"])
-        code = run(["fit-sweep", manifest_path, "--exclude-nonlinear-powers",
-                    "--out", tmp_path / "flagged.json", "--plot-table", tmp_path / "f.csv"])
-        if code != 0:
-            assert code == 3
-            assert "dBm failed: circle radius" in capsys.readouterr().err
 
 
 def touchstone_copy(manifest_path, out_dir):
@@ -329,6 +337,23 @@ class TestSweepInputs:
         assert "input error" in err
         assert trace_path.name in err
         assert "-12.5" in err and repr(stated) in err
+        assert power in err
+
+    @pytest.mark.parametrize("key, stated, given", [
+        ("attenuation_db", "74.0", "75.0"), ("temperature_k", "0.01", "0.02")])
+    def test_csv_drive_disagreeing_with_manifest_is_input_error(
+            self, tmp_path, capsys, key, stated, given):
+        # 1 dB of attenuation moves the photon number by 26 %.
+        manifest_path, _ = simulate(tmp_path, TLS_CONFIG)
+        path, power = third_power(manifest_path)
+        trace_path = pathlib.Path(path)
+        text = trace_path.read_text()
+        trace_path.write_text(text.replace(f"# {key}={stated}", f"# {key}={given}"))
+        assert run(["fit-sweep", manifest_path]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err
+        assert trace_path.name in err
+        assert f"{key}={given}" in err and f"manifest {stated}" in err
         assert power in err
 
 

@@ -9,14 +9,14 @@ from hangerfit import (
     FrequencyTrace,
     LinearParams,
     ParameterError,
-    diameter_corrected_qc,
     eval_linear_s21,
-    fit_circle,
     loaded_linewidth,
     raw_qc,
 )
 from hangerfit.constants import BOLTZMANN, PLANCK
 from hangerfit.model import thermal_tanh_factor
+
+from conftest import fit_circle
 
 
 def make_params(**overrides):
@@ -91,12 +91,12 @@ class TestDerivedQuantities:
 
     def test_qc_correction_identity_at_zero_asymmetry(self):
         p = make_params(coupling_loss=1e-6)
-        assert diameter_corrected_qc(p) == pytest.approx(1e6)
+        assert p.q_coupling == pytest.approx(1e6)
         assert raw_qc(p) == pytest.approx(1e6)
 
     def test_qc_raw_to_corrected_conversion(self):
         p = make_params(fano_asymmetry=0.3)
-        assert raw_qc(p) * math.cos(0.3) == pytest.approx(diameter_corrected_qc(p))
+        assert raw_qc(p) * math.cos(0.3) == pytest.approx(p.q_coupling)
 
     def test_thermal_factor_at_base_temperature(self):
         arg = PLANCK * 5e9 / (2 * BOLTZMANN * 0.010)

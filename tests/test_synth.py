@@ -8,7 +8,6 @@ from hangerfit import (
     NonlinearParams,
     TlsParams,
     dbm_to_watts,
-    ellipticity_metric,
     eval_linear_s21,
     eval_tls_loss,
     fit_linear,
@@ -19,7 +18,7 @@ from hangerfit import (
     synthesize_power_sweep,
 )
 
-from conftest import drive_flux_for_xi
+from conftest import circle_deviation, drive_flux_for_xi
 
 
 def make_params(**overrides):
@@ -89,7 +88,7 @@ class TestNonlinearSynthesis:
                              drive_flux=flux)
         freqs = linewidth_grid(p, span_linewidths=12.0, n_points=801)
         trace = synthesize_nonlinear(nl, freqs, "sweep_up", 0.0, seed=0)
-        assert ellipticity_metric(trace, p) > 0.0
+        assert circle_deviation(trace, p) > 0.0
 
 
 class TestPowerSweep:

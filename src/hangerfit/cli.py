@@ -12,9 +12,12 @@ trace is CSV or Touchstone v1 (``.s2p``), on its own and in a sweep
 manifest alike.  A Touchstone sweep entry takes its power from the
 manifest entry and its attenuation and temperature from the manifest; a
 CSV entry whose ``power_dbm``, ``attenuation_db`` or ``temperature_k``
-differs from its manifest is an input error.  The sweep commands fit the
-powers one after another, lowest power first; a failure at one power keeps
-its error class (and so its exit code) and its message names the power.
+differs from its manifest is an input error.  ``fit-sweep`` reads every
+power in manifest order, then fits all powers of one point count in one
+stacked least-squares solve; ``extract-kerr`` fits the powers one after
+another.  Either reports the failure at the first failing power in
+manifest order (an unreadable trace, or a fit): the error keeps its class
+(and so its exit code) and its message names the power.
 ``fit-sweep --exclude-nonlinear-powers`` leaves out of the TLS fit each
 power whose own linear fit reports ``nonlinear_suspected``: lag-1
 autocorrelation of the residuals above 0.5 and residual rms above 3 sigma
@@ -50,7 +53,7 @@ from .errors import (
     ParameterError,
     TraceParseError,
 )
-from .linearfit import estimate_initial, fit_linear
+from .linearfit import estimate_initial, fit_linear, fit_linear_stack
 from .model import FrequencyTrace, LinearParams, TlsParams
 from .synth import linewidth_grid, synthesize_power_sweep
 from .tls import eval_tls_loss, fit_tls
@@ -154,12 +157,26 @@ def cmd_fit_sweep(args) -> int:
     manifest = parse_manifest(args.manifest)
     include_two_photon = args.model == "tls+2photon"
 
+    # Parse up to the first unreadable power, fit every parsed power in one
+    # stacked solve per point count, then report the lowest failing power.
+    traces = []
+    unreadable = None
+    for path, power_dbm in manifest.entries:
+        try:
+            with _at_power(power_dbm):
+                traces.append(_load_trace(path, manifest, power_dbm))
+        except (OSError, HangerFitError) as exc:
+            unreadable = exc
+            break
+    fits = fit_linear_stack(traces)
+
     points = []
     reports = []
     excluded_powers = []
-    for path, power_dbm in manifest.entries:
+    for (path, power_dbm), report in zip(manifest.entries, fits):
         with _at_power(power_dbm):
-            report = fit_linear(_load_trace(path, manifest, power_dbm))
+            if isinstance(report, HangerFitError):
+                raise report
             n_bar = mean_photon_number(dbm_to_watts(power_dbm - manifest.attenuation),
                                        report.params)
         excluded = (args.exclude_nonlinear_powers
@@ -174,14 +191,20 @@ def cmd_fit_sweep(args) -> int:
         if args.verbose:
             print(f"power {power_dbm:g} dBm: n={n_bar:.4g} "
                   f"Q_i={report.params.q_internal:.5g} excluded={excluded}")
+    if unreadable is not None:
+        raise unreadable
 
-    if len(points) < 2:
-        raise InsufficientSpanError("all powers excluded as nonlinear")
     n_bars = np.array([p[0] for p in points])
     losses = np.array([p[1] for p in points])
-    tls_report = fit_tls(n_bars, losses, manifest.temperature,
-                         reports[0].params.resonant_freq,
-                         include_two_photon=include_two_photon)
+    try:
+        tls_report = fit_tls(n_bars, losses, manifest.temperature,
+                             reports[0].params.resonant_freq,
+                             include_two_photon=include_two_photon)
+    except InsufficientSpanError as exc:
+        if excluded_powers:
+            exc.args = (f"{exc} ({len(excluded_powers)} of {len(reports)} powers "
+                        f"excluded as nonlinear)",)
+        raise
 
     out = args.out or f"{args.manifest}.report.json"
     trace_paths = [path for path, _ in manifest.entries]

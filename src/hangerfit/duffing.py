@@ -42,6 +42,7 @@ import numpy as np
 from .constants import TWO_PI
 from .errors import (
     BifurcationUnstableError,
+    HangerFitError,
     InsufficientPowersError,
     InternalConsistencyError,
     ParameterError,
@@ -333,10 +334,11 @@ def seed_nonlinear_guess(trace: FrequencyTrace, linear: LinearParams,
 
 def _nonlinear_line_shape(p: NonlinearParams, freqs: np.ndarray,
                           policy: BranchPolicy | str):
-    """The nonlinear model as a :func:`~hangerfit.linearfit._line_shape`,
-    and the photon numbers it was evaluated with: ``(s21, jacobian, (xi,
-    eta, atilde_sq, nt, counts))``, where ``nt`` is the selected root per
-    point and ``counts`` the number of positive roots.
+    """The nonlinear model as a :func:`~hangerfit.linearfit._line_shape` of
+    one problem, and the photon numbers it was evaluated with: ``(s21,
+    jacobian, (xi, eta, atilde_sq, nt, counts))``, where ``s21`` is 1-d,
+    ``nt`` is the selected root per point and ``counts`` the number of
+    positive roots.
 
     The photon-number cubic is solved once, here; the Jacobian reuses this
     evaluation's root ``nt``, detuning ``dt``, ``xi``, ``eta`` and
@@ -364,7 +366,8 @@ def _nonlinear_line_shape(p: NonlinearParams, freqs: np.ndarray,
         d_eta = p.two_photon * d_g
         d_eta[4] = g
         d_xi, d_eta = d_xi[:, None], d_eta[:, None]
-        d_dt = np.concatenate([_detuning_derivatives(lin, freqs, dt), np.zeros((2, dt.size))])
+        d_dt = np.concatenate([_detuning_derivatives(lin.resonant_freq, total, freqs, dt),
+                               np.zeros((2, dt.size))])
 
         c3, c2, c1 = _cubic_coefficients(xi, eta, dt)
         nt_sq = nt * nt
@@ -373,18 +376,20 @@ def _nonlinear_line_shape(p: NonlinearParams, freqs: np.ndarray,
         f_eta = 0.5 * (eta * nt + 1.0) * nt_sq
         f_dt = 2.0 * (dt - xi * nt) * nt
         d_nt = -(f_xi * d_xi + f_eta * d_eta + f_dt * d_dt) / f_nt
-        return (eta - 2j * xi) * d_nt + nt * (d_eta - 2j * d_xi) + 2j * d_dt
+        return ((eta - 2j * xi) * d_nt + nt * (d_eta - 2j * d_xi) + 2j * d_dt)[None]
 
-    s21, jacobian = _line_shape(lin, freqs, denom, d_denom)
-    return s21, jacobian, (xi, eta, atilde_sq, nt, counts)
+    s21, jacobian = _line_shape(_params_to_vector(lin)[None], freqs[None], denom[None],
+                                lambda sel: d_denom())
+    return s21[0], jacobian, (xi, eta, atilde_sq, nt, counts)
 
 
 def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
                   policy: BranchPolicy | str = BranchPolicy.SWEEP_UP) -> FitReport:
     """Least-squares fit of the nonlinear line shape to one trace.
 
-    The solve is the shared core ``linearfit._fit_line_shape`` on the linear
-    fit vector plus ``kerr`` and ``two_photon`` (>= 0).  The drive flux is
+    The solve is the shared core ``linearfit._fit_line_shape``, on a stack
+    of one, on the linear fit vector plus ``kerr`` and ``two_photon`` (>=
+    0).  The drive flux is
     held fixed at ``guess.drive_flux`` (floating it is degenerate with the
     two rates).  Each evaluation of the solve finds the photon-number
     cubic's roots once per frequency point, and the exact Jacobian at an
@@ -409,22 +414,25 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
     lower, upper = _linear_bounds(trace)
     solution = None
 
-    def line_shape(p, freqs):
-        s21, jacobian, photons = _nonlinear_line_shape(p, freqs, policy)
+    def line_shape(x, params, freqs):
+        s21, jacobian, photons = _nonlinear_line_shape(params[0], freqs[0], policy)
 
-        def jacobian_here(f_center):
+        def jacobian_here(sel, f_center):
             # The solve builds a Jacobian only at the points it moves to, so
             # the last one built is at the solution.
             nonlocal solution
             solution = photons
-            return jacobian(f_center)
-        return s21, jacobian_here
+            return jacobian(sel, f_center)
+        return s21[None], jacobian_here
 
-    report, _ = _fit_line_shape(
-        trace, _NL_PARAM_NAMES, lambda: guess, _nl_vector,
-        lambda x: _nl_params(x, drive_flux),
-        (np.append(lower, [-np.inf, 0.0]), np.append(upper, [np.inf, np.inf])),
-        lambda x0: _nl_scales(x0, trace, drive_flux), line_shape)
+    bounds = (np.append(lower, [-np.inf, 0.0]), np.append(upper, [np.inf, np.inf]))
+    fit, = _fit_line_shape(
+        [trace], _NL_PARAM_NAMES, lambda i: guess, _nl_vector,
+        lambda x: _nl_params(x, drive_flux), lambda trace: bounds,
+        lambda x0, trace: _nl_scales(x0, trace, drive_flux), line_shape)
+    if isinstance(fit, HangerFitError):
+        raise fit
+    report, _ = fit
     params, std_errors = report.params, report.std_errors
 
     xi, eta, atilde_sq, ntilde, counts = solution

@@ -5,13 +5,23 @@ module's :func:`fit_linear`, :func:`hangerfit.duffing.fit_nonlinear` and
 :func:`hangerfit.tls.fit_tls`): a projected Levenberg-Marquardt solve in
 numpy alone, in unit-scaled variables with an exact Jacobian, one evaluation
 budget, one failure policy and standard errors from the Jacobian covariance.
-Each fit hands it one evaluator, which returns the residuals at a point and
-a function that builds the Jacobian at that point from the evaluation's own
-intermediates; the solver builds it only where it needs it.  Each solve
-stops at its cost's rounding floor: once the linear model says less than
-:data:`_FLOOR` of the cost is left to gain, rounding in the model (``exp``
-of phases up to ~3000 rad, the cubic's roots) outweighs that gain, and one
-trial that disagrees with the model ends the solve.
+It solves a stack of K independent problems of one shape at once: each
+round evaluates every unfinished problem's trial point in one call, with
+residuals stacked as (K, m) and Jacobians as (K, m, p), while damping,
+acceptance and the stops stay per problem.  Each problem takes exactly the
+trials, and gets bit for bit the result, it would get alone, because every
+stacked operation rounds each row as the 2-D operation on that row would
+(see :func:`_solve`).  ``fit-sweep`` fits all powers of one point count in
+one stack (:func:`fit_linear_stack`); the other fits are stacks of one.
+Each fit hands the solver one evaluator, which returns the residuals at the
+trial points and a function that builds their Jacobians from the
+evaluation's own intermediates; the solver builds them only where it needs
+them.  A failing problem's error is returned in its place, and the others
+go on.  Each solve stops at its cost's rounding floor: once the linear
+model says less than :data:`_FLOOR` of the cost is left to gain, rounding
+in the model (``exp`` of phases up to ~3000 rad, the cubic's roots)
+outweighs that gain, and one trial that disagrees with the model ends the
+solve.
 :func:`_fit_line_shape` is the line-shape work of the first two: it needs
 p + 3 points for p parameters, raises :class:`SingularJacobianError` on a
 constant trace, references the phase to the window centre and reports.
@@ -32,6 +42,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .errors import (
+    HangerFitError,
     NoResonanceError,
     NonConvergenceError,
     ParameterError,
@@ -49,6 +60,7 @@ __all__ = [
     "FitReport",
     "estimate_initial",
     "fit_linear",
+    "fit_linear_stack",
 ]
 
 # Fraction of points on each side of the window treated as off-resonant
@@ -250,59 +262,78 @@ def _params_at(x: np.ndarray, f_center: float, make_params):
     return make_params(x)
 
 
-def _detuning_derivatives(p: LinearParams, freqs: np.ndarray, dt: np.ndarray) -> np.ndarray:
+def _squares(a) -> np.ndarray:
+    """``a**2`` of each entry as a scalar power (libm ``pow``): numpy's
+    vectorized square differs from it in the last bit for about 0.1 % of
+    values, and every fit squares its parameters in the scalar form."""
+    a = np.asarray(a)
+    return np.array([v ** 2 for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _detuning_derivatives(f_r, total, freqs: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """Derivatives of the normalized detuning ``dt`` w.r.t. (f_r, delta_i,
-    delta_c), shape (3, N)."""
-    total = p.total_loss
-    d_loss = -dt / total
-    return np.stack([-freqs / (p.resonant_freq**2 * total), d_loss, d_loss])
+    delta_c), on the second-to-last axis: shape (..., 3, N) for ``dt`` of
+    shape (..., N)."""
+    rows = np.empty(dt.shape[:-1] + (3, dt.shape[-1]))
+    rows[..., 0, :] = -freqs / (_squares(f_r) * total)
+    rows[..., 1, :] = rows[..., 2, :] = -dt / total
+    return rows
 
 
-def _line_shape(p: LinearParams, freqs: np.ndarray, denom: np.ndarray, d_denom):
-    """A hanger line shape and the Jacobian of its stacked real/imaginary parts.
+def _line_shape(x: np.ndarray, freqs: np.ndarray, denom: np.ndarray, d_denom):
+    """Hanger line shapes of a stack of problems and the Jacobian of their
+    stacked real/imaginary parts.
 
-    The line shape is ``env*(1 - D*exp(i*alpha_f)/denom)`` with ``env`` as in
+    Row k of ``x`` holds problem k's linear parameters in the order of
+    :data:`_PARAM_NAMES` (further columns are ignored); row k of ``freqs``
+    and ``denom`` is its grid and denominator.  The line shape is
+    ``env*(1 - D*exp(i*alpha_f)/denom)`` with ``env`` as in
     :func:`~hangerfit.model.eval_linear_s21` and ``D = delta_c/(delta_i +
     delta_c)``; ``denom`` is ``1 + 2i*dt`` for the linear model.  Returns
-    ``(s21, jacobian)``: ``jacobian(f_center)`` builds, from this
-    evaluation's envelope, denominator and S21, the (2N, 4 + len(d_denom()))
-    Jacobian whose columns follow the fit vector (amplitude,
-    electric_delay, phase at ``f_center``, fano_asymmetry, resonant_freq,
-    internal_loss, coupling_loss, ...).  Rows of ``d_denom()`` are the
-    derivatives of ``denom`` w.r.t. resonant_freq, internal_loss,
-    coupling_loss and then any further fit parameter, which must enter
-    through ``denom`` alone.
+    ``(s21, jacobian)``: ``jacobian(sel, f_center)`` builds, for the rows
+    ``sel`` (an index array or slice) from this evaluation's envelope,
+    denominator and S21, a new (rows, 2N, 4 + q) array of Jacobians whose
+    columns follow the fit vector (amplitude, electric_delay, phase at
+    ``f_center``, fano_asymmetry, resonant_freq, internal_loss,
+    coupling_loss, ...); ``f_center`` has one row per selected problem.
+    ``d_denom(sel)`` gives the (rows, q, N) derivatives of ``denom``
+    w.r.t. resonant_freq, internal_loss, coupling_loss and then any further
+    fit parameter, which must enter through ``denom`` alone.
     """
-    total = p.total_loss
-    depth = p.coupling_loss / total
-    env = p.amplitude * np.exp(1j * (TWO_PI * freqs * p.electric_delay + p.phase_offset))
-    rotation = np.exp(1j * p.fano_asymmetry)
+    amplitude, delay, phase, fano, _, internal, coupling = (x[:, i, None] for i in range(7))
+    total = internal + coupling
+    depth = coupling / total
+    env = amplitude * np.exp(1j * (TWO_PI * freqs * delay + phase))
+    rotation = np.exp(1j * fano)
     s21 = env * (1.0 - depth * rotation / denom)
 
-    def jacobian(f_center: float) -> np.ndarray:
-        tilt = rotation / denom
-        resonance = env * depth * tilt
-        rows = d_denom()
-        cols = np.empty((freqs.size, 4 + rows.shape[0]), dtype=complex)
-        cols[:, 0] = s21 / p.amplitude
-        cols[:, 1] = 1j * TWO_PI * (freqs - f_center) * s21
-        cols[:, 2] = 1j * s21
-        cols[:, 3] = -1j * resonance
-        cols[:, 4:] = (resonance / denom * rows).T
+    def jacobian(sel, f_center: np.ndarray) -> np.ndarray:
+        env_s, denom_s, s21_s, depth_s, total_s = (
+            env[sel], denom[sel], s21[sel], depth[sel], total[sel])
+        tilt = rotation[sel] / denom_s
+        resonance = env_s * depth_s * tilt
+        rows = d_denom(sel)
+        cols = np.empty((s21_s.shape[0], s21_s.shape[1], 4 + rows.shape[1]), dtype=complex)
+        cols[:, :, 0] = s21_s / amplitude[sel]
+        cols[:, :, 1] = 1j * TWO_PI * (freqs[sel] - f_center) * s21_s
+        cols[:, :, 2] = 1j * s21_s
+        cols[:, :, 3] = -1j * resonance
+        cols[:, :, 4:] = ((resonance / denom_s)[:, None, :] * rows).transpose(0, 2, 1)
         # The depth D depends on the two losses: dD/d(delta_i) = -D/total and
         # dD/d(delta_c) = delta_i/total**2.
-        cols[:, 5] += env * tilt * (depth / total)
-        cols[:, 6] -= env * tilt * (p.internal_loss / total**2)
-        return np.concatenate([cols.real, cols.imag])
+        cols[:, :, 5] += env_s * tilt * (depth_s / total_s)
+        cols[:, :, 6] -= env_s * tilt * (internal[sel] / _squares(total_s))
+        return np.concatenate([cols.real, cols.imag], axis=1)
 
     return s21, jacobian
 
 
-def _linear_line_shape(p: LinearParams, freqs: np.ndarray):
+def _linear_line_shape(x: np.ndarray, freqs: np.ndarray):
     """The linear model as a :func:`_line_shape`: ``(s21, jacobian)``."""
-    dt = normalized_detuning(p, freqs)
-    return _line_shape(p, freqs, 1.0 + 2j * dt,
-                       lambda: 2j * _detuning_derivatives(p, freqs, dt))
+    f_r, total = x[:, 4, None], x[:, 5, None] + x[:, 6, None]
+    dt = (freqs - f_r) / (f_r * total)
+    return _line_shape(x, freqs, 1.0 + 2j * dt, lambda sel: 2j * _detuning_derivatives(
+        f_r[sel], total[sel], freqs[sel], dt[sel]))
 
 
 def _residual_autocorr(resid: np.ndarray) -> float:
@@ -312,43 +343,99 @@ def _residual_autocorr(resid: np.ndarray) -> float:
     return float(np.abs(np.sum(resid[:-1] * np.conj(resid[1:]))) / power)
 
 
-def _tall_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors of ``a``, from the SVD of
-    its triangular QR factor: the same values as ``a``'s own SVD, at less
-    cost when ``a`` has many more rows than columns."""
-    _, sv, vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
-    return sv, vt
+# Problems per QR call in :func:`_tall_svd` and per Jacobian build in
+# :func:`_solve`.  Each call makes full-size temporaries (numpy's QR copies
+# its input; a build holds its result while the evaluation's intermediates
+# are alive), and a few 800x7 ones at a time keep a sweep's peak memory near
+# one fit's.
+_QR_CHUNK = 6
+_BUILD_CHUNK = 2
+
+# Machine epsilon of float64.
+_EPS = 2.0 ** -52
 
 
-def _rank_cutoff(sv: np.ndarray, shape: tuple[int, int]) -> float:
-    """Singular values of a matrix of this shape at or below this are
-    rounding noise."""
-    return float(sv[0]) * max(shape) * np.finfo(float).eps
+def _span(index: list[int]):
+    """``index``, ascending distinct integers, as a slice when it is one
+    run (indexing with it then makes a view, not a copy), else as an array."""
+    if index and index[-1] - index[0] == len(index) - 1:
+        return slice(index[0], index[-1] + 1)
+    return np.array(index, dtype=int)
+
+
+def _tall_svd(a: np.ndarray, rows: list[int],
+              cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of the matrices
+    ``a[rows]`` (their columns ``cols``, if given), from the SVD of each
+    one's triangular QR factor: the same values as their own SVDs, at less
+    cost when they have many more rows than columns."""
+    parts = []
+    for start in range(0, len(rows), _QR_CHUNK):
+        chunk = a[_span(rows[start:start + _QR_CHUNK])]
+        if cols is not None:
+            chunk = chunk[:, :, cols]
+        parts.append(np.linalg.svd(np.linalg.qr(chunk, mode="r"), full_matrices=False)[1:])
+    if len(parts) == 1:
+        return parts[0]
+    return (np.concatenate([sv for sv, _ in parts]),
+            np.concatenate([vt for _, vt in parts]))
+
+
+def _rank_cutoff(sv: np.ndarray, m: int) -> np.ndarray:
+    """Per row of ``sv``, the singular values of a matrix with ``m`` rows
+    (at least its column count) at or below which are rounding noise."""
+    return sv[:, :1] * m * _EPS
+
+
+def _free_groups(free: np.ndarray) -> list[tuple[list[int], np.ndarray | None]]:
+    """The rows of a boolean ``free`` mask grouped by pattern: a list of
+    ``(positions, columns)``, with ``columns`` None for all-free rows."""
+    groups: dict = {}
+    for i, row in enumerate(free):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return [(positions, None if free[positions[0]].all() else free[positions[0]])
+            for positions in groups.values()]
+
+
+class _Solution:
+    """One problem's result from :func:`_solve`: the solution, its
+    covariance and residuals, whether the solve converged, and how many
+    residual evaluations and Jacobians it took."""
+
+    __slots__ = ("x", "covariance", "residuals", "converged", "evaluations", "jacobians")
+
+    def __init__(self, x, covariance, residuals, converged, evaluations, jacobians):
+        self.x, self.covariance, self.residuals = x, covariance, residuals
+        self.converged, self.evaluations, self.jacobians = converged, evaluations, jacobians
 
 
 def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
-           scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """The least-squares core of every fit: minimize the residuals from
-    ``x0`` within ``bounds``.
+           scales: np.ndarray) -> list:
+    """The least-squares core of every fit: minimize, for each of K
+    independent problems of one shape, its residuals from its row of the
+    (K, p) start ``x0`` within its row of ``bounds``.
 
-    ``evaluate(x)`` returns the residuals at ``x`` and a zero-argument
-    function that builds their exact Jacobian at the same ``x``, from that
-    evaluation's own intermediates.  The solver calls ``evaluate`` once per
-    point it tries and builds the Jacobian only at the start and at each
-    accepted point.
+    ``evaluate(x, rows)`` returns the (len(rows), m) residuals of problems
+    ``rows`` (an ascending list) at the raw points ``x``, one row each, and a
+    function
+    ``jacobian(sel)`` that builds, as a new (rows, m, p) array, the exact
+    Jacobians of the evaluated rows ``sel`` (an index array or slice) from
+    that evaluation's own intermediates.  Every round evaluates each
+    unfinished problem's next trial point in one call, and builds the
+    Jacobians only at the start and at the accepted points.
 
-    A projected Levenberg-Marquardt solve with Nielsen's damping update
-    (Madsen, Nielsen & Tingleff, "Methods for non-linear least squares
-    problems", 2004) in the unit-scaled variables ``u = x/scales``, so one
-    damping term suits every parameter (raw parameters range from ~1e-8 s
-    delays to GHz frequencies).  A variable at a bound whose gradient points
-    outward is held there; any other step is clipped to the bounds.  The
-    step comes from the SVD of the free columns' triangular QR factor.  The
-    solve stops when the cost falls by less than :data:`_TOLERANCE` of
-    itself on a good step, the step is below :data:`_TOLERANCE` of the
-    variables (tested after the step is taken, as a tiny f_r step matters
-    at this tolerance), or the projected gradient is below
-    :data:`_TOLERANCE`; or after :data:`_MAX_ITERATIONS` * (parameters + 1)
+    Each problem follows a projected Levenberg-Marquardt solve with
+    Nielsen's damping update (Madsen, Nielsen & Tingleff, "Methods for
+    non-linear least squares problems", 2004) in the unit-scaled variables
+    ``u = x/scales``, so one damping term suits every parameter (raw
+    parameters range from ~1e-8 s delays to GHz frequencies).  A variable at
+    a bound whose gradient points outward is held there; any other step is
+    clipped to the bounds.  The step comes from the SVD of the free
+    columns' triangular QR factor.  A problem stops when its cost falls by
+    less than :data:`_TOLERANCE` of itself on a good step, its step is below
+    :data:`_TOLERANCE` of the variables (tested after the step is taken, as
+    a tiny f_r step matters at this tolerance), or its projected gradient
+    is below :data:`_TOLERANCE`; or after :data:`_MAX_ITERATIONS` * (p + 1)
     evaluations.  A trial point with non-finite residuals counts as a
     failed step.
 
@@ -365,141 +452,313 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     model goes on as usual, which keeps exact problems exact.  The last
     point whose Jacobian was built is always the solution.
 
-    Returns ``(x, covariance, residuals, converged)``: the covariance, in
-    raw units, is the SVD pseudo-inverse of J^T J times the residual
-    variance, so a direction the data does not constrain gets a large but
-    finite variance; ``converged`` is False when the budget runs out.
-    Raises NonConvergenceError for non-finite residuals at the start or a
-    non-finite Jacobian, SingularJacobianError if the Jacobian at the
-    solution is zero.
-    """
-    lower, upper = bounds[0] / scales, bounds[1] / scales
-    max_nfev = _MAX_ITERATIONS * (x0.size + 1)
+    The damping, acceptance, floor stop and budget are kept per problem
+    (Python floats, and the lists of unfinished and moved problems), so
+    each problem takes exactly the trials it would take alone, and its
+    results are bit-identical whatever stack it is solved in.  That holds
+    because every stacked operation computes each row as the 2-D operation
+    on that row alone would: ``np.vecdot``, ``np.vecmat``, ``np.matvec`` and
+    ``np.matmul`` on C-contiguous stacks call the same BLAS ``dot``/``gemv``
+    per row, ``np.linalg.qr``/``svd`` the same LAPACK routine, sums run
+    along contiguous rows, and norms are ``sqrt`` of a ``dot``.  ``einsum``,
+    ``np.linalg.norm(axis=...)`` and numpy's vectorized ``power`` round
+    differently, so the damping update cubes with Python floats.
 
-    def scaled(jacobian):
-        j = jacobian() * scales
-        if not np.all(np.isfinite(j)):
-            raise NonConvergenceError("least-squares fit failed: Jacobian is not finite")
-        return j
+    Returns one entry per problem: a :class:`_Solution`, whose covariance,
+    in raw units, is the SVD pseudo-inverse of J^T J times the residual
+    variance, so a direction the data does not constrain gets a large but
+    finite variance, and whose ``converged`` is False when the budget ran
+    out; or the error that ended it: NonConvergenceError for non-finite
+    residuals at the start, a non-finite Jacobian or a non-finite solution,
+    SingularJacobianError if the Jacobian at the solution is zero.
+    """
+    k_all, p = x0.shape
+    lower, upper = bounds[0] / scales, bounds[1] / scales
+    max_nfev = _MAX_ITERATIONS * (p + 1)
+    errors: list = [None] * k_all
+    # Per-problem scalars, kept as Python floats so each problem's
+    # arithmetic is the scalar arithmetic of a solve on its own.
+    nfev, njev = [1] * k_all, [0] * k_all
+    converged, settled = [False] * k_all, [False] * k_all
+    growth = [2.0] * k_all
+
+    def store(sel, rows, jacobian):
+        # The scaled Jacobians of the evaluated rows sel, at problems rows[sel].
+        nonlocal j
+        for start in range(0, len(sel), _BUILD_CHUNK):
+            part = sel[start:start + _BUILD_CHUNK]
+            targets = [rows[i] for i in part]
+            span = _span(targets)
+            built = jacobian(_span(part))
+            built *= scales[span, None, :]
+            finite = bool(np.isfinite(built).all())
+            if finite and len(targets) == k_all:
+                j = built
+            elif finite:
+                j[span] = built
+            for k, one in zip(targets, built):
+                njev[k] += 1
+                if finite:
+                    continue
+                if np.isfinite(one).all():
+                    j[k] = one
+                else:
+                    errors[k] = NonConvergenceError(
+                        "least-squares fit failed: Jacobian is not finite")
+            del built
 
     u = x0 / scales
-    r, jacobian = evaluate(x0)
-    nfev = 1
-    if not np.all(np.isfinite(r)):
-        raise NonConvergenceError("least-squares fit failed: residuals are not finite at the start")
-    j = scaled(jacobian)
-    cost = 0.5 * float(r @ r)
-    damping = 1e-3 * float(np.max(np.sum(j**2, axis=0)))
-    growth = 2.0
-    converged = False
-    while not converged and nfev < max_nfev:
-        grad = j.T @ r
-        free = ~(((u <= lower) & (grad > 0)) | ((u >= upper) & (grad < 0)))
-        if np.max(np.abs(grad[free]), initial=0.0) <= _TOLERANCE:
-            converged = True
+    everyone = list(range(k_all))
+    r, jacobian = evaluate(x0, everyone)
+    start_ok = np.isfinite(r).all(axis=1).tolist()
+    for k in everyone:
+        if not start_ok[k]:
+            errors[k] = NonConvergenceError(
+                "least-squares fit failed: residuals are not finite at the start")
+            r[k] = 0.0
+    j = np.zeros((k_all, r.shape[1], p))
+    moved = [k for k in everyone if start_ok[k]]
+    store(moved, everyone, jacobian)
+    del jacobian
+    m = r.shape[1]
+    cost = (0.5 * np.vecdot(r, r)).tolist()
+    damping = 1e-3 * np.max(np.concatenate(
+        [(j[start:start + _QR_CHUNK] ** 2).sum(axis=1)
+         for start in range(0, k_all, _QR_CHUNK)]), axis=1)
+    # The factorization at each problem's current point: gradient, free
+    # columns, and the SVD of the free columns in the first nfree entries.
+    grad = np.zeros((k_all, p))
+    free = np.ones((k_all, p), dtype=bool)
+    nfree = [p] * k_all
+    sv = np.zeros((k_all, p))
+    vt = np.zeros((k_all, p, p))
+    grad_v = np.zeros((k_all, p))
+    active = [k for k in moved if errors[k] is None]
+    while True:
+        active = [k for k in active
+                  if errors[k] is None and not converged[k] and nfev[k] < max_nfev]
+        moved = [k for k in moved if errors[k] is None and nfev[k] < max_nfev]
+        if moved:
+            new = _span(moved)
+            g = np.vecmat(r[new], j[new])
+            u_new = u[new]
+            f = ~(((u_new <= lower[new]) & (g > 0)) | ((u_new >= upper[new]) & (g < 0)))
+            all_free = bool(f.all())
+            largest = (np.abs(g) if all_free else np.where(f, np.abs(g), 0.0)).max(axis=1).tolist()
+            grad[new], free[new] = g, f
+            for k, size in zip(moved, largest):
+                converged[k] = size <= _TOLERANCE
+            if any(converged[k] for k in moved):
+                moved = [k for k in moved if not converged[k]]
+                active = [k for k in active if not converged[k]]
+            if all_free:
+                groups = [(moved, None)] if moved else []
+            else:
+                groups = [([moved[i] for i in positions], cols)
+                          for positions, cols in _free_groups(free[_span(moved)])]
+            for rows, cols in groups:
+                span = _span(rows)
+                sv_g, vt_g = _tall_svd(j, rows, cols)
+                q = sv_g.shape[1]
+                gv = np.matvec(vt_g, grad[span] if cols is None else grad[span][:, cols])
+                # Settled: the Gauss-Newton gain is within the cost's rounding floor.
+                resolved = sv_g > _rank_cutoff(sv_g, m)
+                if resolved.all():
+                    gain = (0.5 * ((gv / sv_g) ** 2).sum(axis=1)).tolist()
+                else:
+                    gain = [0.5 * float(np.sum((v[keep] / s_[keep]) ** 2))
+                            for v, s_, keep in zip(gv, sv_g, resolved)]
+                for k, value in zip(rows, gain):
+                    settled[k] = value <= _FLOOR * cost[k]
+                    nfree[k] = q
+                sv[span, :q], vt[span, :q, :q], grad_v[span, :q] = sv_g, vt_g, gv
+        if not active:
             break
-        j_free = j[:, free]
-        sv, vt = _tall_svd(j_free)
-        grad_v = vt @ grad[free]
-        # Settled: the Gauss-Newton gain is within the cost's rounding floor.
-        resolved = sv > _rank_cutoff(sv, j_free.shape)
-        settled = 0.5 * float(np.sum((grad_v[resolved] / sv[resolved]) ** 2)) <= _FLOOR * cost
-        while nfev < max_nfev:
-            step = np.zeros_like(u)
-            step[free] = -vt.T @ (grad_v / (sv**2 + damping))
-            trial = np.clip(u + step, lower, upper)
-            step = trial - u
-            r_trial, jacobian = evaluate(trial * scales)
-            nfev += 1
-            cost_trial = 0.5 * float(r_trial @ r_trial)
-            predicted = -float(grad @ step) - 0.5 * float(np.sum((j @ step) ** 2))
-            reduction = cost - cost_trial if np.isfinite(cost_trial) else -np.inf
-            ratio = reduction / predicted if predicted > 0 else -1.0
-            small_step = (float(np.linalg.norm(step))
-                          <= _TOLERANCE * (_TOLERANCE + float(np.linalg.norm(trial))))
-            if settled and ratio < 0.25:
+
+        ia = _span(active)
+        if all(nfree[k] == p for k in active):
+            step = -np.vecmat(grad_v[ia] / (sv[ia] ** 2 + damping[ia, None]), vt[ia])
+        else:
+            step = np.zeros((len(active), p))
+            for positions, cols in _free_groups(free[ia]):
+                rows = _span([active[i] for i in positions])
+                q = p if cols is None else int(np.count_nonzero(cols))
+                scaled_grad = grad_v[rows, :q] / (sv[rows, :q] ** 2 + damping[rows, None])
+                step_free = -np.vecmat(scaled_grad, vt[rows, :q, :q])
+                positions = np.array(positions)
+                if cols is None:
+                    step[positions] = step_free
+                else:
+                    step[positions[:, None], np.flatnonzero(cols)] = step_free
+        u_act = u[ia]
+        trial = np.minimum(np.maximum(u_act + step, lower[ia]), upper[ia])
+        step = trial - u_act
+        r_trial, jacobian = evaluate(trial * scales[ia], active)
+        cost_trial = (0.5 * np.vecdot(r_trial, r_trial)).tolist()
+        predicted = (-np.vecdot(grad[ia], step)
+                     - 0.5 * (np.matvec(j[ia], step) ** 2).sum(axis=1)).tolist()
+        small_step = (np.sqrt(np.vecdot(step, step))
+                      <= _TOLERANCE * (_TOLERANCE + np.sqrt(np.vecdot(trial, trial)))).tolist()
+        accepted = []
+        for i, k in enumerate(active):
+            nfev[k] += 1
+            reduction = cost[k] - cost_trial[i] if math.isfinite(cost_trial[i]) else -math.inf
+            ratio = reduction / predicted[i] if predicted[i] > 0 else -1.0
+            if settled[k] and ratio < 0.25:
                 # The evaluation cannot resolve what is left to gain: keep
                 # the trial only if it lowered the cost, and stop.
-                converged = True
+                converged[k] = True
                 if reduction > 0:
-                    u, r, cost = trial, r_trial, cost_trial
-                    j = scaled(jacobian)
-                break
-            if ratio > 0:
-                converged = small_step or (reduction < _TOLERANCE * cost and ratio > 0.25)
-                u, r, cost = trial, r_trial, cost_trial
-                j = scaled(jacobian)
-                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
-                growth = 2.0
-                break
-            damping *= growth
-            growth *= 2.0
-            if small_step:
-                converged = True
-                break
+                    accepted.append(i)
+            elif ratio > 0:
+                converged[k] = small_step[i] or (reduction < _TOLERANCE * cost[k]
+                                                 and ratio > 0.25)
+                accepted.append(i)
+                damping[k] *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                growth[k] = 2.0
+            else:
+                damping[k] *= growth[k]
+                growth[k] *= 2.0
+                converged[k] = small_step[i]
+        moved = [active[i] for i in accepted]
+        if moved:
+            span, taken = _span(moved), _span(accepted)
+            u[span], r[span] = trial[taken], r_trial[taken]
+            for i, k in zip(accepted, moved):
+                cost[k] = cost_trial[i]
+        # Keep no more of this evaluation than the Jacobians still to build.
+        del r_trial
+        store(accepted, active, jacobian)
+        del jacobian
+        moved = [k for k in moved if not converged[k]]
 
     x = np.clip(u * scales, *bounds)
-    if not np.all(np.isfinite(x)):
-        raise NonConvergenceError("least-squares fit failed: non-finite solution")
-    m, p = j.shape
-    s_squared = float(r @ r) / max(m - p, 1)
-    sv, vt = _tall_svd(j)
-    if sv.size == 0 or sv[0] <= 0.0:
-        raise SingularJacobianError("Jacobian is identically zero")
-    inv_sv2 = 1.0 / np.maximum(sv, _rank_cutoff(sv, j.shape)) ** 2
-    cov = (vt.T * inv_sv2) @ vt * s_squared * np.outer(scales, scales)
-    return x, cov, r, converged
+    finite_x = np.isfinite(x).all(axis=1).tolist()
+    for k in range(k_all):
+        if errors[k] is None and not finite_x[k]:
+            errors[k] = NonConvergenceError("least-squares fit failed: non-finite solution")
+    solved = [k for k in range(k_all) if errors[k] is None]
+    if solved:
+        sv, vt = _tall_svd(j, solved)
+        for k, largest in zip(solved, sv[:, 0].tolist()):
+            if largest <= 0.0:
+                errors[k] = SingularJacobianError("Jacobian is identically zero")
+        keep = [i for i, k in enumerate(solved) if errors[k] is None]
+        solved, sv, vt = [solved[i] for i in keep], sv[keep], vt[keep]
+        span = _span(solved)
+        s_squared = np.vecdot(r[span], r[span]) / max(m - p, 1)
+        inv_sv2 = 1.0 / np.maximum(sv, _rank_cutoff(sv, m)) ** 2
+        cov = (np.matmul(vt.transpose(0, 2, 1) * inv_sv2[:, None, :], vt)
+               * s_squared[:, None, None] * (scales[span, :, None] * scales[span, None, :]))
+    covariances = dict(zip(solved, cov)) if solved else {}
+    return [errors[k] or _Solution(
+        x=x[k], covariance=covariances[k], residuals=r[k], converged=converged[k],
+        evaluations=nfev[k], jacobians=njev[k]) for k in range(k_all)]
 
 
-def _fit_line_shape(trace: FrequencyTrace, names: list[str], start, to_vector,
-                    make_params, bounds: tuple[np.ndarray, np.ndarray], scales_of,
-                    line_shape) -> tuple[FitReport, np.ndarray]:
-    """Least-squares fit of a hanger line shape, shared by both fits.
+def _fit_line_shape(traces: list, names: list[str], start, to_vector, make_params,
+                    bounds_of, scales_of, line_shape) -> list:
+    """Least-squares fits of a hanger line shape to a stack of traces of
+    one length, shared by both fits: one :func:`_solve` for the stack.
 
     The fit vector, labelled by ``names``, starts with the seven linear
-    parameters.  ``start()`` gives the starting parameters after the input
-    guards; ``to_vector``/``make_params`` map parameters to vectors and
-    back; ``scales_of(x0)`` gives unit scales at the start clipped to
-    ``bounds``.  ``line_shape(params, freqs)`` is a :func:`_line_shape`:
-    S21 and a function giving the derivative of its stacked real/imaginary
-    parts with the phase at a given centre (see :func:`_fit_variables`).
-    Each :func:`_solve` evaluation calls it once.
+    parameters.  ``start(i)`` gives trace i's starting parameters after the
+    input guards; ``to_vector``/``make_params`` map parameters to vectors
+    and back; ``bounds_of(trace)`` gives a trace's bounds and
+    ``scales_of(x0, trace)`` its unit scales at the start clipped to them.
+    ``line_shape(x, params, freqs)`` is a :func:`_line_shape` of the raw
+    parameter rows ``x``, their parameters ``params`` (one per row) and
+    grids ``freqs``: S21 and a function giving the derivatives of its
+    stacked real/imaginary parts with the phase at given centres (see
+    :func:`_fit_variables`).  Each :func:`_solve` evaluation calls it once.
 
-    ``converged`` is False when the evaluation budget runs out.  Returns
-    the report, without diagnostics or details, and the complex residuals.
-    Raises ParameterError for fewer than p + 3 points, SingularJacobianError
-    for a constant trace and NonConvergenceError if the solver fails.
+    Returns one entry per trace: ``(report, complex residuals)``, the
+    report without diagnostics or details, with ``converged`` False when
+    the evaluation budget ran out; or the error its fit raised:
+    ParameterError for fewer than p + 3 points or an invalid trial point,
+    SingularJacobianError for a constant trace, NonConvergenceError if the
+    solver fails, or any error of ``start``.
     """
     n_params = len(names)
-    if len(trace) < n_params + 3:
-        raise ParameterError(f"need >= {n_params + 3} points to fit {n_params} parameters")
-    if np.ptp(trace.s21.real) == 0.0 and np.ptp(trace.s21.imag) == 0.0:
-        raise SingularJacobianError("trace is constant; nothing to fit")
-    lower, upper = bounds
-    x0 = np.minimum(np.maximum(to_vector(start()), lower), upper)
-    freqs, data = trace.freqs, trace.s21
-    f_center = float(np.mean(freqs))
+    results: list = [None] * len(traces)
+    index, starts, lowers, uppers, scales = [], [], [], [], []
+    for i, trace in enumerate(traces):
+        try:
+            if len(trace) < n_params + 3:
+                raise ParameterError(f"need >= {n_params + 3} points to fit {n_params} parameters")
+            if np.ptp(trace.s21.real) == 0.0 and np.ptp(trace.s21.imag) == 0.0:
+                raise SingularJacobianError("trace is constant; nothing to fit")
+            lower, upper = bounds_of(trace)
+            x0 = np.minimum(np.maximum(to_vector(start(i)), lower), upper)
+            scales.append(scales_of(x0, trace))
+        except HangerFitError as exc:
+            results[i] = exc
+            continue
+        index.append(i)
+        starts.append(x0)
+        lowers.append(lower)
+        uppers.append(upper)
+    if not index:
+        return results
+    freqs = np.stack([traces[i].freqs for i in index])
+    data = np.stack([traces[i].s21 for i in index])
+    centres = [float(np.mean(traces[i].freqs)) for i in index]
+    f_center = np.array(centres)[:, None]
+    everyone = list(range(len(index)))
+    # The first error an evaluation met at each problem's trial points.
+    invalid: dict = {}
 
-    def evaluate(x):
-        s21, jacobian = line_shape(_params_at(x, f_center, make_params), freqs)
-        diff = s21 - data
-        return np.concatenate([diff.real, diff.imag]), lambda: jacobian(f_center)
+    def evaluate(x, rows):
+        every = rows == everyone
+        picked = slice(None) if every else rows
+        x = x.copy()
+        x[:, 2] = [math.remainder(phase - TWO_PI * centre * delay, TWO_PI)
+                   for phase, delay, centre in zip(x[:, 2].tolist(), x[:, 1].tolist(),
+                                                   centres if every else
+                                                   [centres[k] for k in rows])]
+        params = []
+        for k, row in zip(rows, x):
+            try:
+                params.append(make_params(row))
+            except HangerFitError as exc:
+                invalid.setdefault(k, exc)
+                params.append(None)
+        if None in params:
+            # That problem has failed: its residuals are not finite from here on.
+            bad = np.array([p is None for p in params])
+            if bad.all():
+                return np.full((len(rows), 2 * data.shape[1]), np.nan), None
+            x[bad] = np.nan
+        s21, jacobian = line_shape(x, params, freqs[picked])
+        diff = s21 - data[picked]
+        centre = f_center[picked]
+        return (np.concatenate([diff.real, diff.imag], axis=1),
+                lambda sel: jacobian(sel, centre[sel]))
 
-    x, cov, resid, converged = _solve(evaluate, _fit_variables(x0, f_center), bounds,
-                                      scales_of(x0))
-    params = _params_at(x, f_center, make_params)
-
-    # phase_offset = phi_center - 2*pi*f_center*t_d: propagate linearly.
-    transform = np.eye(n_params)
-    transform[2, 1] = -TWO_PI * f_center
-    cov = transform @ cov @ transform.T
-    std_errors = {name: float(np.sqrt(max(cov[i, i], 0.0)))
-                  for i, name in enumerate(names)}
-    n = len(trace)
-    report = FitReport(params=params, std_errors=std_errors,
-                       residual_rms=float(np.sqrt(np.sum(resid**2) / n)),
-                       n_points=n, converged=converged)
-    return report, resid[:n] + 1j * resid[n:]
+    x0 = np.stack([_fit_variables(x, centre) for x, centre in zip(starts, centres)])
+    solutions = _solve(evaluate, x0, (np.stack(lowers), np.stack(uppers)), np.stack(scales))
+    for k, (i, centre, solution) in enumerate(zip(index, centres, solutions)):
+        if k in invalid or isinstance(solution, HangerFitError):
+            results[i] = invalid.get(k, solution)
+            continue
+        try:
+            params = _params_at(solution.x, centre, make_params)
+        except HangerFitError as exc:
+            results[i] = exc
+            continue
+        n = len(traces[i])
+        resid = solution.residuals
+        # phase_offset = phi_center - 2*pi*f_center*t_d: propagate linearly.
+        transform = np.eye(n_params)
+        transform[2, 1] = -TWO_PI * centre
+        cov = transform @ solution.covariance @ transform.T
+        std_errors = {name: float(np.sqrt(max(cov[c, c], 0.0)))
+                      for c, name in enumerate(names)}
+        report = FitReport(params=params, std_errors=std_errors,
+                           residual_rms=float(np.sqrt(np.sum(resid**2) / n)),
+                           n_points=n, converged=solution.converged)
+        results[i] = (report, resid[:n] + 1j * resid[n:])
+    return results
 
 
 def _line_shape_details(lin: LinearParams) -> dict:
@@ -512,8 +771,8 @@ def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None) -> FitR
     """Least-squares fit of the linear hanger model to one trace.
 
     ``guess`` defaults to :func:`estimate_initial`.  The solve is the shared
-    :func:`_fit_line_shape`; ``converged`` is False when the iteration
-    budget is exhausted.
+    :func:`_fit_line_shape` on a stack of one; ``converged`` is False when
+    the iteration budget is exhausted.
 
     Raises
     ------
@@ -524,14 +783,50 @@ def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None) -> FitR
     NoResonanceError
         Propagated from the initial estimate.
     """
-    sigma = _noise_sigma(trace.s21)
-    report, resid = _fit_line_shape(
-        trace, _PARAM_NAMES,
-        lambda: guess if guess is not None else _estimate_initial(trace, sigma),
-        _params_to_vector, _vector_to_params, _linear_bounds(trace),
-        lambda x0: _linear_scales(x0, trace), _linear_line_shape)
-    params = report.params
+    result, = _fit_linear([trace], [guess])
+    if isinstance(result, HangerFitError):
+        raise result
+    return result
 
+
+def fit_linear_stack(traces: list[FrequencyTrace]) -> list:
+    """:func:`fit_linear` of each trace, with one least-squares solve for
+    all traces of one point count.
+
+    Each fit starts from :func:`estimate_initial` and takes the same steps
+    and gives the same report as :func:`fit_linear` of its trace alone.
+    Returns one entry per trace, in order: its :class:`FitReport`, or the
+    error :func:`fit_linear` would raise for it.
+    """
+    results: list = [None] * len(traces)
+    by_length: dict = {}
+    for i, trace in enumerate(traces):
+        by_length.setdefault(len(trace), []).append(i)
+    for index in by_length.values():
+        for i, result in zip(index, _fit_linear([traces[i] for i in index])):
+            results[i] = result
+    return results
+
+
+def _fit_linear(traces: list[FrequencyTrace], guesses: list | None = None) -> list:
+    """:func:`fit_linear` of a stack of traces of one length, in one solve;
+    one report or error per trace."""
+    sigmas = [_noise_sigma(trace.s21) for trace in traces]
+
+    def start(i):
+        guess = guesses[i] if guesses is not None else None
+        return guess if guess is not None else _estimate_initial(traces[i], sigmas[i])
+
+    fits = _fit_line_shape(traces, _PARAM_NAMES, start, _params_to_vector, _vector_to_params,
+                           _linear_bounds, _linear_scales,
+                           lambda x, params, freqs: _linear_line_shape(x, freqs))
+    return [fit if isinstance(fit, HangerFitError) else _linear_report(*fit, sigma)
+            for fit, sigma in zip(fits, sigmas)]
+
+
+def _linear_report(report: FitReport, resid: np.ndarray, sigma: float) -> FitReport:
+    """A linear fit's report with its diagnostics and details."""
+    params = report.params
     snr = params.amplitude / sigma if sigma > 0 else np.inf
     autocorr = _residual_autocorr(resid)
 

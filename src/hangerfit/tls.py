@@ -12,17 +12,18 @@ Fits run on log10(delta_i) residuals: sweeps span many decades in photon
 number and loss, and linear-space residuals would let the lossiest points
 dominate.  An optional two-photon term ``two_photon*n/f_r`` models loss
 that *grows* with photon number.  The solve is the package's one
-least-squares core (``linearfit._solve``); each evaluation gives the log10
-residuals and builds their closed-form Jacobian from the same model terms
-(:func:`_tls_loss`).  Like the line-shape fits, a fit that runs out of its
-evaluation budget reports ``converged=False`` rather than raising.
+least-squares core (``linearfit._solve``, on a stack of one); each
+evaluation gives the log10 residuals and builds their closed-form Jacobian
+from the same model terms (:func:`_tls_loss`).  Like the line-shape fits, a
+fit that runs out of its evaluation budget reports ``converged=False``
+rather than raising.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientSpanError, ParameterError
+from .errors import HangerFitError, InsufficientSpanError, ParameterError
 from .linearfit import FitReport, _solve
 from .model import TlsParams, thermal_tanh_factor
 
@@ -165,13 +166,16 @@ def fit_tls(photon_numbers, losses, temperature: float, f_r: float,
     tanh_factor = thermal_tanh_factor(f_r, temperature)
     log_loss = np.log10(loss)
 
-    def evaluate(x):
-        model, jacobian = _tls_loss(x, n, tanh_factor, f_r)
-        return np.log10(model) - log_loss, jacobian
+    def evaluate(x, rows):
+        model, jacobian = _tls_loss(x[0], n, tanh_factor, f_r)
+        return (np.log10(model) - log_loss)[None], lambda sel: jacobian()[None]
 
-    x_fit, cov, resid, converged = _solve(
-        evaluate, *_tls_start(n, loss, tanh_factor, f_r, include_two_photon))
-    raw_errors = [float(np.sqrt(max(c, 0.0))) for c in np.diag(cov)]
+    x0, (lower, upper), scales = _tls_start(n, loss, tanh_factor, f_r, include_two_photon)
+    solution, = _solve(evaluate, x0[None], (lower[None], upper[None]), scales[None])
+    if isinstance(solution, HangerFitError):
+        raise solution
+    x_fit, resid, converged = solution.x, solution.residuals, solution.converged
+    raw_errors = [float(np.sqrt(max(c, 0.0))) for c in np.diag(solution.covariance)]
 
     tls_amp, log10_nc, alpha, delta_0 = x_fit[:4]
     n_c = 10.0**log10_nc

@@ -401,7 +401,8 @@ def _scan_touchstone(path: str, drive: dict) -> FrequencyTrace:
 
 
 def parse_manifest(path) -> SweepManifest:
-    """Read a JSON sweep manifest; trace paths resolve relative to it."""
+    """Read a JSON sweep manifest; trace paths resolve relative to it.  A
+    manifest that lists no traces is malformed."""
     path = str(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -413,11 +414,14 @@ def parse_manifest(path) -> SweepManifest:
         entries = tuple(
             (os.path.join(base, item["path"]), float(item["power_dbm"]))
             for item in payload["traces"])
-        return SweepManifest(label=str(payload["label"]), entries=entries,
-                             attenuation=float(payload["attenuation_db"]),
-                             temperature=float(payload["temperature_k"]))
+        manifest = SweepManifest(label=str(payload["label"]), entries=entries,
+                                 attenuation=float(payload["attenuation_db"]),
+                                 temperature=float(payload["temperature_k"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRowError(f"manifest schema violation: {exc!r}", path, 1)
+    if not entries:
+        raise MalformedRowError("manifest lists no traces", path, 1)
+    return manifest
 
 
 def write_manifest(manifest: SweepManifest, path) -> None:

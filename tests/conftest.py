@@ -123,7 +123,7 @@ def base_linear():
 
 def record_solves(monkeypatch, module):
     """Replace ``module._solve`` by a wrapper that records the evaluator,
-    start and scales of each solve; returns the list of records."""
+    starts and scales of each stacked solve; returns the list of records."""
     records = []
     solve = module._solve
 
@@ -137,17 +137,19 @@ def record_solves(monkeypatch, module):
 
 def record_costs(monkeypatch, module):
     """Replace ``module._solve`` by a wrapper that records the cost,
-    0.5*sum(residuals**2), of each evaluation; returns one list per solve."""
+    0.5*sum(residuals**2), of each evaluation; returns one list per
+    problem, the problems of each solve in stack order."""
     costs = []
     solve = module._solve
 
     def recording(evaluate, x0, bounds, scales):
-        solve_costs = []
-        costs.append(solve_costs)
+        solve_costs = [[] for _ in range(len(x0))]
+        costs.extend(solve_costs)
 
-        def recorded(x):
-            r, jacobian = evaluate(x)
-            solve_costs.append(0.5 * float(r @ r))
+        def recorded(x, rows):
+            r, jacobian = evaluate(x, rows)
+            for k, row in zip(rows, r):
+                solve_costs[k].append(0.5 * float(row @ row))
             return r, jacobian
 
         return solve(recorded, x0, bounds, scales)
@@ -164,13 +166,20 @@ def evaluations_at_floor(costs, rel=1e-10):
     return len(costs) - 1 - first
 
 
+def single_jacobian(line_shape, f_center):
+    """The Jacobian of a one-problem line shape ``(s21, jacobian, ...)``
+    with the phase at ``f_center``, as a 2-D array."""
+    return line_shape[1](slice(None), np.array([[f_center]]))[0]
+
+
 def assert_jacobians_built_at_their_points(evaluate, x0, scales):
-    """The Jacobian an evaluation returns equals one computed from scratch
-    at the same point, even when evaluations at another point came between."""
+    """The Jacobians an evaluation returns equal ones computed from scratch
+    at the same points, even when evaluations at other points came between."""
+    rows = list(range(len(x0)))
     x1 = x0 + 0.01 * scales
-    _, jacobian0 = evaluate(x0)
-    _, jacobian1 = evaluate(x1)
-    built0, built1 = jacobian0(), jacobian1()
-    np.testing.assert_array_equal(built0, evaluate(x0)[1]())
-    np.testing.assert_array_equal(built1, evaluate(x1)[1]())
+    _, jacobian0 = evaluate(x0, rows)
+    _, jacobian1 = evaluate(x1, rows)
+    built0, built1 = jacobian0(slice(None)), jacobian1(slice(None))
+    np.testing.assert_array_equal(built0, evaluate(x0, rows)[1](slice(None)))
+    np.testing.assert_array_equal(built1, evaluate(x1, rows)[1](slice(None)))
     assert not np.array_equal(built0, built1)

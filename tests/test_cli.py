@@ -1,5 +1,6 @@
 """CLI: exit codes, report emission, sweep pipelines, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -247,7 +248,67 @@ class TestFitSweepCommand:
         config = dict(TLS_CONFIG, instrument_powers_dbm=[-40.0])
         manifest_path, _ = simulate(tmp_path, config)
         assert run(["fit-sweep", manifest_path]) == 3
-        assert "InsufficientSpan" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "InsufficientSpanError: need >= 6 points, got 1" in err
+        assert "excluded" not in err
+
+    def test_span_error_counts_the_excluded_powers(self, tmp_path, capsys, monkeypatch):
+        # Mark the seven lowest powers as nonlinear: five points are left.
+        manifest_path, _ = simulate(tmp_path, TLS_CONFIG)
+        fit_stack = hangerfit.cli.fit_linear_stack
+
+        def suspecting(traces):
+            return [dataclasses.replace(report, diagnostics=report.diagnostics
+                                        | {"nonlinear_suspected"}) if k < 7 else report
+                    for k, report in enumerate(fit_stack(traces))]
+
+        monkeypatch.setattr(hangerfit.cli, "fit_linear_stack", suspecting)
+        assert run(["fit-sweep", manifest_path, "--exclude-nonlinear-powers"]) == 3
+        assert ("InsufficientSpanError: need >= 6 points, got 5 "
+                "(7 of 12 powers excluded as nonlinear)") in capsys.readouterr().err
+
+    def test_first_failing_power_decides_the_error(self, tmp_path, capsys):
+        # A fit failure at the third power comes before an unreadable fifth
+        # power, and an unreadable third power before a fit failure at the
+        # fifth, although every power is read before any is fitted.
+        manifest_path, _ = simulate(tmp_path, TLS_CONFIG)
+        entries = parse_manifest(manifest_path).entries
+        power = [f"power {p:g} dBm" for _, p in entries]
+        write_flat_trace(pathlib.Path(entries[2][0]), entries[2][1])
+        os.remove(entries[4][0])
+        assert run(["fit-sweep", manifest_path]) == 3
+        err = capsys.readouterr().err
+        assert "NoResonanceError" in err and power[2] in err
+
+        manifest_path, _ = simulate(tmp_path, TLS_CONFIG, "swapped")
+        entries = parse_manifest(manifest_path).entries
+        write_flat_trace(pathlib.Path(entries[4][0]), entries[4][1])
+        os.remove(entries[2][0])
+        assert run(["fit-sweep", manifest_path]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and power[2] in err
+
+    def test_mixed_point_counts_fit_like_single_traces(self, tmp_path):
+        manifest_path, out_dir = simulate(tmp_path, TLS_CONFIG)
+        entries = parse_manifest(manifest_path).entries
+        for path, power_dbm in entries[1::3]:
+            # Every third power on a coarser 201-point grid.
+            trace = parse_csv_trace(path)
+            p = hangerfit.fit_linear(trace).params
+            coarse = synthesize_linear(p, linewidth_grid(p, 10.0, 201), 0.002, seed=5,
+                                       instrument_power=power_dbm, attenuation=74.0,
+                                       temperature=0.01, label="R1")
+            write_csv_trace(coarse, path)
+        out = tmp_path / "sweep.json"
+        assert run(["fit-sweep", manifest_path, "--out", out,
+                    "--plot-table", tmp_path / "qi.csv"]) == 0
+        reports, _ = read_report(out)
+        assert sorted({r.n_points for r in reports[1:]}) == [201, 241]
+        for report, (path, _) in zip(reports[1:], entries):
+            alone = hangerfit.fit_linear(parse_csv_trace(path))
+            assert report.params == alone.params
+            assert report.std_errors == alone.std_errors
+            assert report.converged == alone.converged
 
     def test_missing_trace_is_input_error_naming_power(self, tmp_path, capsys):
         manifest_path, _ = simulate(tmp_path, TLS_CONFIG)
@@ -408,6 +469,17 @@ class TestExtractKerrCommand:
         assert run(["extract-kerr", manifest_path]) == 3
         err = capsys.readouterr().err
         assert "low sensitivity" in err
+
+
+class TestEmptyManifest:
+    @pytest.mark.parametrize("command", ["fit-sweep", "extract-kerr"])
+    def test_no_traces_is_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"label": "E", "attenuation_db": 74.0,
+                                    "temperature_k": 0.01, "traces": []}))
+        assert run([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "manifest lists no traces" in err
 
 
 class TestManifestOrder:

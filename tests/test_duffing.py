@@ -35,7 +35,12 @@ from hangerfit.duffing import (
     branch_jump_indices,
     positive_cubic_roots,
 )
-from hangerfit.linearfit import _fit_variables, _linear_line_shape, _params_at
+from hangerfit.linearfit import (
+    _fit_variables,
+    _linear_line_shape,
+    _params_at,
+    _params_to_vector,
+)
 
 from conftest import (
     assert_jacobians_built_at_their_points,
@@ -50,6 +55,7 @@ from conftest import (
     oracle_root_count,
     record_costs,
     record_solves,
+    single_jacobian,
 )
 
 TWO_PI = 2 * math.pi
@@ -329,8 +335,8 @@ class TestNonlinearJacobian:
             return np.concatenate([s21.real, s21.imag])
 
         u = _fit_variables(x, f_center) / scales
-        jac = _nonlinear_line_shape(params_at(u), self.FREQS,
-                                    BranchPolicy.SWEEP_UP)[1](f_center) * scales
+        jac = single_jacobian(_nonlinear_line_shape(params_at(u), self.FREQS,
+                                                    BranchPolicy.SWEEP_UP), f_center) * scales
         reference = central_difference_jacobian(model, u)
         assert np.all(column_relative_errors(jac, reference) <= 1e-5)
 
@@ -338,9 +344,10 @@ class TestNonlinearJacobian:
         lin = make_linear(fano_asymmetry=0.3, electric_delay=50e-9)
         p = NonlinearParams(linear=lin, kerr=0.0, two_photon=0.0, drive_flux=1e12)
         f_center = float(np.mean(self.FREQS))
-        jac = _nonlinear_line_shape(p, self.FREQS, BranchPolicy.SWEEP_UP)[1](f_center)
-        np.testing.assert_array_equal(jac[:, :7],
-                                      _linear_line_shape(lin, self.FREQS)[1](f_center))
+        jac = single_jacobian(_nonlinear_line_shape(p, self.FREQS, BranchPolicy.SWEEP_UP),
+                              f_center)
+        linear = _linear_line_shape(_params_to_vector(lin)[None], self.FREQS[None])
+        np.testing.assert_array_equal(jac[:, :7], single_jacobian(linear, f_center))
 
 
 class TestEllipticityMetric:
@@ -393,13 +400,13 @@ class TestFitNonlinear:
         solve = linearfit._solve
 
         def counting_solve(evaluate, *args):
-            def counted(x):
+            def counted(x, rows):
                 evaluations.append(x)
-                r, jacobian = evaluate(x)
+                r, jacobian = evaluate(x, rows)
 
-                def counted_jacobian():
+                def counted_jacobian(sel):
                     jacobians.append(x)
-                    return jacobian()
+                    return jacobian(sel)
                 return r, counted_jacobian
             return solve(counted, *args)
 

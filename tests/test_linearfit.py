@@ -37,6 +37,7 @@ from conftest import (
     evaluations_at_floor,
     record_costs,
     record_solves,
+    single_jacobian,
 )
 
 
@@ -236,7 +237,8 @@ class TestLinearJacobian:
             return np.concatenate([s21.real, s21.imag])
 
         u = _fit_variables(x, f_center) / scales
-        jac = _linear_line_shape(params_at(u), freqs)[1](f_center) * scales
+        jac = single_jacobian(_linear_line_shape(_params_to_vector(params_at(u))[None],
+                                                 freqs[None]), f_center) * scales
         reference = central_difference_jacobian(model, u)
         assert np.all(column_relative_errors(jac, reference) <= 1e-5)
 
@@ -244,6 +246,15 @@ class TestLinearJacobian:
         records = record_solves(monkeypatch, linearfit)
         fit_linear(make_trace(make_params(fano_asymmetry=0.2), noise=0.01, seed=4))
         assert_jacobians_built_at_their_points(*records[0])
+
+
+def solve_one(evaluate, x0, bounds, scales):
+    """``_solve`` on a stack of one problem, whose ``evaluate(x)`` returns
+    the residuals and a function giving the Jacobian; returns its result."""
+    def stacked(x, rows):
+        r, jacobian = evaluate(x[0])
+        return r[None], lambda sel: np.array(jacobian(), dtype=float)[None]
+    return _solve(stacked, x0[None], (bounds[0][None], bounds[1][None]), scales[None])[0]
 
 
 class TestSolve:
@@ -258,10 +269,11 @@ class TestSolve:
         design = rng.normal(size=(40, 3)) * np.array([1.0, 1e3, 1e-4])
         target = rng.normal(size=40)
         scales = np.array([1.0, 1e-3, 1e4])
-        x, cov, resid, converged = _solve(lambda x: (design @ x - target, lambda: design),
-                                          np.zeros(3), self.unbounded(3), scales)
+        solution = solve_one(lambda x: (design @ x - target, lambda: design),
+                             np.zeros(3), self.unbounded(3), scales)
+        x, cov, resid = solution.x, solution.covariance, solution.residuals
         reference, *_ = np.linalg.lstsq(design, target, rcond=None)
-        assert converged
+        assert solution.converged
         np.testing.assert_allclose(x, reference, rtol=1e-12)
         np.testing.assert_allclose(resid, design @ reference - target, rtol=1e-12, atol=1e-12)
         s_squared = np.sum(resid**2) / (40 - 3)
@@ -273,10 +285,9 @@ class TestSolve:
             return (np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
                     lambda: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
 
-        x, _, _, converged = _solve(evaluate, np.array([-1.2, 1.0]),
-                                    self.unbounded(2), np.ones(2))
-        assert converged
-        np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-8)
+        solution = solve_one(evaluate, np.array([-1.2, 1.0]), self.unbounded(2), np.ones(2))
+        assert solution.converged
+        np.testing.assert_allclose(solution.x, [1.0, 1.0], rtol=0, atol=1e-8)
 
     def test_minimum_outside_the_box_sits_on_the_bound(self):
         # Coupled columns: the unbounded minimum has x = (2, -1), beyond x0 <= 1,
@@ -284,13 +295,14 @@ class TestSolve:
         design = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [2.0, 1.0]])
         target = design @ np.array([2.0, -1.0]) + np.array([0.1, -0.1, 0.05, 0.0])
         bounds = (np.full(2, -np.inf), np.array([1.0, np.inf]))
-        x, cov, _, converged = _solve(lambda x: (design @ x - target, lambda: design),
-                                      np.zeros(2), bounds, np.ones(2))
+        solution = solve_one(lambda x: (design @ x - target, lambda: design),
+                             np.zeros(2), bounds, np.ones(2))
+        x = solution.x
         reduced, *_ = np.linalg.lstsq(design[:, 1:], target - design[:, 0], rcond=None)
-        assert converged
+        assert solution.converged
         assert x[0] == 1.0
         assert x[1] == pytest.approx(reduced[0], abs=1e-9)
-        assert np.all(np.isfinite(cov))
+        assert np.all(np.isfinite(solution.covariance))
 
     def test_start_at_the_minimum_stops_on_the_gradient(self):
         design = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
@@ -302,17 +314,109 @@ class TestSolve:
             calls.append(x)
             return design @ x - target, lambda: design
 
-        x, _, _, converged = _solve(evaluate, solution, self.unbounded(2), np.ones(2))
-        assert converged
+        result = solve_one(evaluate, solution, self.unbounded(2), np.ones(2))
+        assert result.converged
         assert len(calls) == 1
-        np.testing.assert_array_equal(x, solution)
+        assert (result.evaluations, result.jacobians) == (1, 1)
+        np.testing.assert_array_equal(result.x, solution)
 
-    def test_nan_residual_raises(self):
-        with pytest.raises(NonConvergenceError):
-            _solve(lambda x: (np.full(4, np.nan), lambda: np.ones((4, 2))),
-                   np.zeros(2), self.unbounded(2), np.ones(2))
+    def test_nan_residual_is_returned_as_its_error(self):
+        result = solve_one(lambda x: (np.full(4, np.nan), lambda: np.ones((4, 2))),
+                           np.zeros(2), self.unbounded(2), np.ones(2))
+        assert isinstance(result, NonConvergenceError)
 
     def test_zero_jacobian_is_singular(self):
-        with pytest.raises(SingularJacobianError):
-            _solve(lambda x: (np.array([1.0, 2.0, 3.0]), lambda: np.zeros((3, 2))),
-                   np.zeros(2), self.unbounded(2), np.ones(2))
+        result = solve_one(lambda x: (np.array([1.0, 2.0, 3.0]), lambda: np.zeros((3, 2))),
+                           np.zeros(2), self.unbounded(2), np.ones(2))
+        assert isinstance(result, SingularJacobianError)
+
+
+def assert_same_solution(stacked, alone):
+    """Two results of one problem agree bit for bit, counts included."""
+    assert not isinstance(alone, Exception)
+    for name in ("x", "covariance", "residuals"):
+        np.testing.assert_array_equal(getattr(stacked, name), getattr(alone, name))
+    assert (stacked.converged, stacked.evaluations, stacked.jacobians) == \
+        (alone.converged, alone.evaluations, alone.jacobians)
+
+
+class TestStackedSolve:
+    """One stacked solve gives each problem exactly the result it gets alone."""
+
+    # Problem 0 has its Fano asymmetry bounded below the truth, so its
+    # solve ends on that bound.
+    BOUNDED = 0
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        traces = []
+        for qc_over_qi in (0.1, 1.0, 10.0):
+            for fano in (0.3, -0.3):
+                for delay in (0.0, 100e-9):
+                    p = make_params(internal_loss=1e-6, coupling_loss=1e-6 / qc_over_qi,
+                                    fano_asymmetry=fano, electric_delay=delay,
+                                    phase_offset=0.4)
+                    traces.append(make_trace(p, noise=1e-3, seed=len(traces)))
+        calls = []
+        solve = linearfit._solve
+
+        def capturing(evaluate, x0, bounds, scales):
+            calls.append((evaluate, x0, bounds, scales))
+            return solve(evaluate, x0, bounds, scales)
+
+        monkeypatch.setattr(linearfit, "_solve", capturing)
+        linearfit.fit_linear_stack(traces)
+        (evaluate, x0, (lower, upper), scales), = calls
+        upper = upper.copy()
+        upper[self.BOUNDED, 3] = 0.1
+        return evaluate, x0, (lower, upper), scales
+
+    @staticmethod
+    def solve_rows(evaluate, x0, bounds, scales, index):
+        """``_solve`` of the problems ``index`` of the captured stack."""
+        def sub(x, rows):
+            return evaluate(x, [index[i] for i in rows])
+        return _solve(sub, x0[index], (bounds[0][index], bounds[1][index]), scales[index])
+
+    def test_each_problem_matches_its_solve_alone(self, captured):
+        evaluate, x0, bounds, scales = captured
+        stacked = _solve(*captured)
+        assert len(stacked) == 12
+        assert stacked[self.BOUNDED].x[3] == 0.1
+        for k, solution in enumerate(stacked):
+            alone, = self.solve_rows(evaluate, x0, bounds, scales, [k])
+            assert_same_solution(solution, alone)
+
+    def test_reversed_stack_gives_the_same_results(self, captured):
+        evaluate, x0, bounds, scales = captured
+        stacked = _solve(*captured)
+        order = list(range(len(x0)))[::-1]
+        for k, solution in zip(order, self.solve_rows(evaluate, x0, bounds, scales, order)):
+            assert_same_solution(solution, stacked[k])
+
+    def test_non_finite_jacobian_fails_its_problem_alone(self, captured):
+        evaluate, x0, bounds, scales = captured
+        bad = 5
+
+        def poisoned(x, rows):
+            r, jacobian = evaluate(x, rows)
+
+            def build(sel):
+                built = jacobian(sel)
+                built[np.asarray(rows)[sel] == bad] = np.nan
+                return built
+            return r, build
+
+        stacked = _solve(poisoned, x0, bounds, scales)
+        assert isinstance(stacked[bad], NonConvergenceError)
+        assert "Jacobian is not finite" in str(stacked[bad])
+        for k, solution in enumerate(stacked):
+            if k != bad:
+                alone, = self.solve_rows(evaluate, x0, bounds, scales, [k])
+                assert_same_solution(solution, alone)
+
+    def test_stack_reports_equal_single_fits(self):
+        traces = [make_trace(make_params(fano_asymmetry=0.2), n_points=n, noise=0.01, seed=n)
+                  for n in (241, 201, 241)]
+        for stacked, trace in zip(linearfit.fit_linear_stack(traces), traces):
+            assert stacked == fit_linear(trace)

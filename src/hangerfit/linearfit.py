@@ -594,16 +594,18 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
         trial = np.minimum(np.maximum(u_act + step, lower[ia]), upper[ia])
         step = trial - u_act
         r_trial, jacobian = evaluate(trial * scales[ia], active)
-        cost_trial = (0.5 * np.vecdot(r_trial, r_trial)).tolist()
-        predicted = (-np.vecdot(grad[ia], step)
-                     - 0.5 * (np.matvec(j[ia], step) ** 2).sum(axis=1)).tolist()
-        small_step = (np.sqrt(np.vecdot(step, step))
-                      <= _TOLERANCE * (_TOLERANCE + np.sqrt(np.vecdot(trial, trial)))).tolist()
+        cost_trial = [0.5 * value for value in np.vecdot(r_trial, r_trial).tolist()]
+        model_gain = zip(np.vecdot(grad[ia], step).tolist(),
+                         (np.matvec(j[ia], step) ** 2).sum(axis=1).tolist())
+        lengths = zip(np.vecdot(step, step).tolist(), np.vecdot(trial, trial).tolist())
         accepted = []
-        for i, k in enumerate(active):
+        for i, k, (linear, quadratic), (step_sq, trial_sq) in zip(
+                range(len(active)), active, model_gain, lengths):
             nfev[k] += 1
+            predicted = -linear - 0.5 * quadratic
+            small_step = math.sqrt(step_sq) <= _TOLERANCE * (_TOLERANCE + math.sqrt(trial_sq))
             reduction = cost[k] - cost_trial[i] if math.isfinite(cost_trial[i]) else -math.inf
-            ratio = reduction / predicted[i] if predicted[i] > 0 else -1.0
+            ratio = reduction / predicted if predicted > 0 else -1.0
             if settled[k] and ratio < 0.25:
                 # The evaluation cannot resolve what is left to gain: keep
                 # the trial only if it lowered the cost, and stop.
@@ -611,15 +613,15 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
                 if reduction > 0:
                     accepted.append(i)
             elif ratio > 0:
-                converged[k] = small_step[i] or (reduction < _TOLERANCE * cost[k]
-                                                 and ratio > 0.25)
+                converged[k] = small_step or (reduction < _TOLERANCE * cost[k]
+                                              and ratio > 0.25)
                 accepted.append(i)
                 damping[k] *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
                 growth[k] = 2.0
             else:
                 damping[k] *= growth[k]
                 growth[k] *= 2.0
-                converged[k] = small_step[i]
+                converged[k] = small_step
         moved = [active[i] for i in accepted]
         if moved:
             span, taken = _span(moved), _span(accepted)

@@ -389,9 +389,9 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
 
     The solve is the shared core ``linearfit._fit_line_shape``, on a stack
     of one, on the linear fit vector plus ``kerr`` and ``two_photon`` (>=
-    0).  The drive flux is
-    held fixed at ``guess.drive_flux`` (floating it is degenerate with the
-    two rates).  Each evaluation of the solve finds the photon-number
+    0).  The drive flux is held fixed at ``guess.drive_flux`` (floating it
+    is degenerate with the two rates).  Each evaluation of the solve builds
+    the trial point's :class:`NonlinearParams` and finds the photon-number
     cubic's roots once per frequency point, and the exact Jacobian at an
     accepted point reuses them (see :func:`_nonlinear_line_shape`).  The
     branch check, ``bifurcated`` and ``max_photon_number`` read the roots of
@@ -400,7 +400,8 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
     Raises
     ------
     ParameterError
-        Fewer than 12 points (p + 3 for the 9 parameters).
+        Fewer than 12 points (p + 3 for the 9 parameters), or at once if a
+        trial point is not valid parameters.
     SingularJacobianError
         The trace is constant.
     NonConvergenceError
@@ -414,8 +415,9 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
     lower, upper = _linear_bounds(trace)
     solution = None
 
-    def line_shape(x, params, freqs):
-        s21, jacobian, photons = _nonlinear_line_shape(params[0], freqs[0], policy)
+    def line_shape(x, freqs):
+        s21, jacobian, photons = _nonlinear_line_shape(_nl_params(x[0], drive_flux), freqs[0],
+                                                       policy)
 
         def jacobian_here(sel, f_center):
             # The solve builds a Jacobian only at the points it moves to, so

@@ -231,7 +231,7 @@ def _vector_to_params(x: np.ndarray) -> LinearParams:
 
 def _linear_bounds(trace: FrequencyTrace) -> tuple[np.ndarray, np.ndarray]:
     span = float(trace.freqs[-1] - trace.freqs[0])
-    f_lo = float(trace.freqs[0]) - 0.25 * span
+    f_lo = max(float(trace.freqs[0]) - 0.25 * span, np.finfo(float).tiny)
     f_hi = float(trace.freqs[-1]) + 0.25 * span
     lower = np.array([1e-12, -np.inf, -np.inf, -(np.pi / 2 - 1e-9), f_lo, 1e-12, 1e-12])
     upper = np.array([np.inf, np.inf, np.inf, np.pi / 2 - 1e-9, f_hi,
@@ -364,21 +364,14 @@ def _span(index: list[int]):
 
 
 def _tall_svd(a: np.ndarray, rows: list[int],
-              cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+              cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and right singular vectors of the matrices
-    ``a[rows]`` (their columns ``cols``, if given), from the SVD of each
-    one's triangular QR factor: the same values as their own SVDs, at less
-    cost when they have many more rows than columns."""
-    parts = []
-    for start in range(0, len(rows), _QR_CHUNK):
-        chunk = a[_span(rows[start:start + _QR_CHUNK])]
-        if cols is not None:
-            chunk = chunk[:, :, cols]
-        parts.append(np.linalg.svd(np.linalg.qr(chunk, mode="r"), full_matrices=False)[1:])
-    if len(parts) == 1:
-        return parts[0]
-    return (np.concatenate([sv for sv, _ in parts]),
-            np.concatenate([vt for _, vt in parts]))
+    ``a[rows]`` (their columns ``cols``), from the SVD of each one's
+    triangular QR factor: the same values as their own SVDs, at less cost
+    when they have many more rows than columns."""
+    factors = [np.linalg.qr(a[_span(rows[start:start + _QR_CHUNK])][:, :, cols], mode="r")
+               for start in range(0, len(rows), _QR_CHUNK)]
+    return np.linalg.svd(np.concatenate(factors), full_matrices=False)[1:]
 
 
 def _rank_cutoff(sv: np.ndarray, m: int) -> np.ndarray:
@@ -387,14 +380,15 @@ def _rank_cutoff(sv: np.ndarray, m: int) -> np.ndarray:
     return sv[:, :1] * m * _EPS
 
 
-def _free_groups(free: np.ndarray) -> list[tuple[list[int], np.ndarray | None]]:
+def _free_groups(free: np.ndarray) -> list[tuple[list[int], np.ndarray | slice]]:
     """The rows of a boolean ``free`` mask grouped by pattern: a list of
-    ``(positions, columns)``, with ``columns`` None for all-free rows."""
+    ``(positions, columns)``, ``columns`` indexing the group's free columns."""
+    if free.all():
+        return [(list(range(len(free))), slice(None))]
     groups: dict = {}
     for i, row in enumerate(free):
         groups.setdefault(row.tobytes(), []).append(i)
-    return [(positions, None if free[positions[0]].all() else free[positions[0]])
-            for positions in groups.values()]
+    return [(positions, free[positions[0]]) for positions in groups.values()]
 
 
 class _Solution:
@@ -430,14 +424,20 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     ``u = x/scales``, so one damping term suits every parameter (raw
     parameters range from ~1e-8 s delays to GHz frequencies).  A variable at
     a bound whose gradient points outward is held there; any other step is
-    clipped to the bounds.  The step comes from the SVD of the free
-    columns' triangular QR factor.  A problem stops when its cost falls by
-    less than :data:`_TOLERANCE` of itself on a good step, its step is below
-    :data:`_TOLERANCE` of the variables (tested after the step is taken, as
-    a tiny f_r step matters at this tolerance), or its projected gradient
-    is below :data:`_TOLERANCE`; or after :data:`_MAX_ITERATIONS` * (p + 1)
-    evaluations.  A trial point with non-finite residuals counts as a
-    failed step.
+    clipped to the bounds.  At each accepted point the problems are grouped
+    by free columns, and each group's free columns get one SVD of their
+    triangular QR factor.  Its singular values, right singular vectors and
+    gradient in them are stored at full width p, zero past the free count
+    and in the held columns, so one expression gives every problem's step
+    ``-vecmat(grad_v/(sv**2 + damping), vt)``, zero in its held columns.
+    (An SVD of the full Jacobian with the held columns zeroed would round
+    differently from the free columns' own.)  A problem stops when its cost
+    falls by less than :data:`_TOLERANCE` of itself on a good step, its
+    step is below :data:`_TOLERANCE` of the variables (tested after the
+    step is taken, as a tiny f_r step matters at this tolerance), or its
+    projected gradient is below :data:`_TOLERANCE`; or after
+    :data:`_MAX_ITERATIONS` * (p + 1) evaluations.  A trial point with
+    non-finite residuals counts as a failed step.
 
     It also stops at the cost's rounding floor.  At each accepted point the
     Gauss-Newton gain ``0.5*sum((grad_v/sv)**2)``, over the singular values
@@ -484,28 +484,16 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
 
     def store(sel, rows, jacobian):
         # The scaled Jacobians of the evaluated rows sel, at problems rows[sel].
-        nonlocal j
         for start in range(0, len(sel), _BUILD_CHUNK):
             part = sel[start:start + _BUILD_CHUNK]
             targets = [rows[i] for i in part]
             span = _span(targets)
-            built = jacobian(_span(part))
-            built *= scales[span, None, :]
-            finite = bool(np.isfinite(built).all())
-            if finite and len(targets) == k_all:
-                j = built
-            elif finite:
-                j[span] = built
-            for k, one in zip(targets, built):
+            j[span] = jacobian(_span(part)) * scales[span, None, :]
+            for k, finite in zip(targets, np.isfinite(j[span]).all(axis=(1, 2)).tolist()):
                 njev[k] += 1
-                if finite:
-                    continue
-                if np.isfinite(one).all():
-                    j[k] = one
-                else:
+                if not finite:
                     errors[k] = NonConvergenceError(
                         "least-squares fit failed: Jacobian is not finite")
-            del built
 
     u = x0 / scales
     everyone = list(range(k_all))
@@ -522,14 +510,12 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
     del jacobian
     m = r.shape[1]
     cost = (0.5 * np.vecdot(r, r)).tolist()
-    damping = 1e-3 * np.max(np.concatenate(
-        [(j[start:start + _QR_CHUNK] ** 2).sum(axis=1)
-         for start in range(0, k_all, _QR_CHUNK)]), axis=1)
+    damping = 1e-3 * np.max((j ** 2).sum(axis=1), axis=1)
     # The factorization at each problem's current point: gradient, free
-    # columns, and the SVD of the free columns in the first nfree entries.
+    # columns, and the SVD of the free columns at full width (zero past the
+    # free count and in the held columns).
     grad = np.zeros((k_all, p))
     free = np.ones((k_all, p), dtype=bool)
-    nfree = [p] * k_all
     sv = np.zeros((k_all, p))
     vt = np.zeros((k_all, p, p))
     grad_v = np.zeros((k_all, p))
@@ -543,53 +529,33 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
             g = np.vecmat(r[new], j[new])
             u_new = u[new]
             f = ~(((u_new <= lower[new]) & (g > 0)) | ((u_new >= upper[new]) & (g < 0)))
-            all_free = bool(f.all())
-            largest = (np.abs(g) if all_free else np.where(f, np.abs(g), 0.0)).max(axis=1).tolist()
+            largest = np.where(f, np.abs(g), 0.0).max(axis=1).tolist()
             grad[new], free[new] = g, f
             for k, size in zip(moved, largest):
                 converged[k] = size <= _TOLERANCE
-            if any(converged[k] for k in moved):
-                moved = [k for k in moved if not converged[k]]
-                active = [k for k in active if not converged[k]]
-            if all_free:
-                groups = [(moved, None)] if moved else []
-            else:
-                groups = [([moved[i] for i in positions], cols)
-                          for positions, cols in _free_groups(free[_span(moved)])]
-            for rows, cols in groups:
-                span = _span(rows)
-                sv_g, vt_g = _tall_svd(j, rows, cols)
-                q = sv_g.shape[1]
-                gv = np.matvec(vt_g, grad[span] if cols is None else grad[span][:, cols])
-                # Settled: the Gauss-Newton gain is within the cost's rounding floor.
-                resolved = sv_g > _rank_cutoff(sv_g, m)
-                if resolved.all():
-                    gain = (0.5 * ((gv / sv_g) ** 2).sum(axis=1)).tolist()
-                else:
-                    gain = [0.5 * float(np.sum((v[keep] / s_[keep]) ** 2))
-                            for v, s_, keep in zip(gv, sv_g, resolved)]
-                for k, value in zip(rows, gain):
-                    settled[k] = value <= _FLOOR * cost[k]
-                    nfree[k] = q
-                sv[span, :q], vt[span, :q, :q], grad_v[span, :q] = sv_g, vt_g, gv
+            moved = [k for k in moved if not converged[k]]
+            active = [k for k in active if not converged[k]]
+        for positions, cols in _free_groups(free[_span(moved)]) if moved else []:
+            rows = [moved[i] for i in positions]
+            span = _span(rows)
+            sv_g, vt_g = _tall_svd(j, rows, cols)
+            q = sv_g.shape[1]
+            gv = np.matvec(vt_g, grad[span][:, cols])
+            # Settled: the Gauss-Newton gain, over the resolved singular
+            # values, is within the cost's rounding floor.
+            resolved = sv_g > _rank_cutoff(sv_g, m)
+            gain = 0.5 * ((gv / np.where(resolved, sv_g, np.inf)) ** 2).sum(axis=1)
+            for k, value in zip(rows, gain.tolist()):
+                settled[k] = value <= _FLOOR * cost[k]
+            wide = np.zeros((len(rows), p, p))
+            wide[:, :q, cols] = vt_g
+            sv[span], vt[span], grad_v[span] = 0.0, wide, 0.0
+            sv[span, :q], grad_v[span, :q] = sv_g, gv
         if not active:
             break
 
         ia = _span(active)
-        if all(nfree[k] == p for k in active):
-            step = -np.vecmat(grad_v[ia] / (sv[ia] ** 2 + damping[ia, None]), vt[ia])
-        else:
-            step = np.zeros((len(active), p))
-            for positions, cols in _free_groups(free[ia]):
-                rows = _span([active[i] for i in positions])
-                q = p if cols is None else int(np.count_nonzero(cols))
-                scaled_grad = grad_v[rows, :q] / (sv[rows, :q] ** 2 + damping[rows, None])
-                step_free = -np.vecmat(scaled_grad, vt[rows, :q, :q])
-                positions = np.array(positions)
-                if cols is None:
-                    step[positions] = step_free
-                else:
-                    step[positions[:, None], np.flatnonzero(cols)] = step_free
+        step = -np.vecmat(grad_v[ia] / (sv[ia] ** 2 + damping[ia, None]), vt[ia])
         u_act = u[ia]
         trial = np.minimum(np.maximum(u_act + step, lower[ia]), upper[ia])
         step = trial - u_act
@@ -668,18 +634,18 @@ def _fit_line_shape(traces: list, names: list[str], start, to_vector, make_param
     input guards; ``to_vector``/``make_params`` map parameters to vectors
     and back; ``bounds_of(trace)`` gives a trace's bounds and
     ``scales_of(x0, trace)`` its unit scales at the start clipped to them.
-    ``line_shape(x, params, freqs)`` is a :func:`_line_shape` of the raw
-    parameter rows ``x``, their parameters ``params`` (one per row) and
-    grids ``freqs``: S21 and a function giving the derivatives of its
-    stacked real/imaginary parts with the phase at given centres (see
-    :func:`_fit_variables`).  Each :func:`_solve` evaluation calls it once.
+    ``line_shape(x, freqs)`` is a :func:`_line_shape` of the raw parameter
+    rows ``x`` and grids ``freqs``: S21 and a function giving the
+    derivatives of its stacked real/imaginary parts with the phase at given
+    centres (see :func:`_fit_variables`).  Each :func:`_solve` evaluation
+    calls it once.  Every point within the bounds must be valid parameters.
 
     Returns one entry per trace: ``(report, complex residuals)``, the
     report without diagnostics or details, with ``converged`` False when
     the evaluation budget ran out; or the error its fit raised:
-    ParameterError for fewer than p + 3 points or an invalid trial point,
-    SingularJacobianError for a constant trace, NonConvergenceError if the
-    solver fails, or any error of ``start``.
+    ParameterError for fewer than p + 3 points, SingularJacobianError for a
+    constant trace, NonConvergenceError if the solver fails, or any error
+    of ``start``.
     """
     n_params = len(names)
     results: list = [None] * len(traces)
@@ -706,32 +672,13 @@ def _fit_line_shape(traces: list, names: list[str], start, to_vector, make_param
     data = np.stack([traces[i].s21 for i in index])
     centres = [float(np.mean(traces[i].freqs)) for i in index]
     f_center = np.array(centres)[:, None]
-    everyone = list(range(len(index)))
-    # The first error an evaluation met at each problem's trial points.
-    invalid: dict = {}
 
     def evaluate(x, rows):
-        every = rows == everyone
-        picked = slice(None) if every else rows
+        picked = _span(rows)
         x = x.copy()
-        x[:, 2] = [math.remainder(phase - TWO_PI * centre * delay, TWO_PI)
-                   for phase, delay, centre in zip(x[:, 2].tolist(), x[:, 1].tolist(),
-                                                   centres if every else
-                                                   [centres[k] for k in rows])]
-        params = []
-        for k, row in zip(rows, x):
-            try:
-                params.append(make_params(row))
-            except HangerFitError as exc:
-                invalid.setdefault(k, exc)
-                params.append(None)
-        if None in params:
-            # That problem has failed: its residuals are not finite from here on.
-            bad = np.array([p is None for p in params])
-            if bad.all():
-                return np.full((len(rows), 2 * data.shape[1]), np.nan), None
-            x[bad] = np.nan
-        s21, jacobian = line_shape(x, params, freqs[picked])
+        x[:, 2] = [math.remainder(phase - TWO_PI * centres[k] * delay, TWO_PI)
+                   for phase, delay, k in zip(x[:, 2].tolist(), x[:, 1].tolist(), rows)]
+        s21, jacobian = line_shape(x, freqs[picked])
         diff = s21 - data[picked]
         centre = f_center[picked]
         return (np.concatenate([diff.real, diff.imag], axis=1),
@@ -739,15 +686,11 @@ def _fit_line_shape(traces: list, names: list[str], start, to_vector, make_param
 
     x0 = np.stack([_fit_variables(x, centre) for x, centre in zip(starts, centres)])
     solutions = _solve(evaluate, x0, (np.stack(lowers), np.stack(uppers)), np.stack(scales))
-    for k, (i, centre, solution) in enumerate(zip(index, centres, solutions)):
-        if k in invalid or isinstance(solution, HangerFitError):
-            results[i] = invalid.get(k, solution)
+    for i, centre, solution in zip(index, centres, solutions):
+        if isinstance(solution, HangerFitError):
+            results[i] = solution
             continue
-        try:
-            params = _params_at(solution.x, centre, make_params)
-        except HangerFitError as exc:
-            results[i] = exc
-            continue
+        params = _params_at(solution.x, centre, make_params)
         n = len(traces[i])
         resid = solution.residuals
         # phase_offset = phi_center - 2*pi*f_center*t_d: propagate linearly.
@@ -785,45 +728,39 @@ def fit_linear(trace: FrequencyTrace, guess: LinearParams | None = None) -> FitR
     NoResonanceError
         Propagated from the initial estimate.
     """
-    result, = _fit_linear([trace], [guess])
+    result, = fit_linear_stack([trace], [guess])
     if isinstance(result, HangerFitError):
         raise result
     return result
 
 
-def fit_linear_stack(traces: list[FrequencyTrace]) -> list:
+def fit_linear_stack(traces: list[FrequencyTrace], guesses: list | None = None) -> list:
     """:func:`fit_linear` of each trace, with one least-squares solve for
     all traces of one point count.
 
-    Each fit starts from :func:`estimate_initial` and takes the same steps
-    and gives the same report as :func:`fit_linear` of its trace alone.
-    Returns one entry per trace, in order: its :class:`FitReport`, or the
-    error :func:`fit_linear` would raise for it.
+    Trace i starts from ``guesses[i]`` when given and not None, else from
+    :func:`estimate_initial`; each fit takes the same steps and gives the
+    same report as :func:`fit_linear` of its trace alone.  Returns one
+    entry per trace, in order: its :class:`FitReport`, or the error
+    :func:`fit_linear` would raise for it.
     """
+    sigmas = [_noise_sigma(trace.s21) for trace in traces]
+    guesses = guesses or [None] * len(traces)
     results: list = [None] * len(traces)
     by_length: dict = {}
     for i, trace in enumerate(traces):
         by_length.setdefault(len(trace), []).append(i)
     for index in by_length.values():
-        for i, result in zip(index, _fit_linear([traces[i] for i in index])):
-            results[i] = result
+        def start(k, index=index):
+            i = index[k]
+            return guesses[i] if guesses[i] is not None else _estimate_initial(traces[i], sigmas[i])
+
+        fits = _fit_line_shape([traces[i] for i in index], _PARAM_NAMES, start, _params_to_vector,
+                               _vector_to_params, _linear_bounds, _linear_scales,
+                               _linear_line_shape)
+        for i, fit in zip(index, fits):
+            results[i] = fit if isinstance(fit, HangerFitError) else _linear_report(*fit, sigmas[i])
     return results
-
-
-def _fit_linear(traces: list[FrequencyTrace], guesses: list | None = None) -> list:
-    """:func:`fit_linear` of a stack of traces of one length, in one solve;
-    one report or error per trace."""
-    sigmas = [_noise_sigma(trace.s21) for trace in traces]
-
-    def start(i):
-        guess = guesses[i] if guesses is not None else None
-        return guess if guess is not None else _estimate_initial(traces[i], sigmas[i])
-
-    fits = _fit_line_shape(traces, _PARAM_NAMES, start, _params_to_vector, _vector_to_params,
-                           _linear_bounds, _linear_scales,
-                           lambda x, params, freqs: _linear_line_shape(x, freqs))
-    return [fit if isinstance(fit, HangerFitError) else _linear_report(*fit, sigma)
-            for fit, sigma in zip(fits, sigmas)]
 
 
 def _linear_report(report: FitReport, resid: np.ndarray, sigma: float) -> FitReport:

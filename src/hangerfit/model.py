@@ -94,10 +94,6 @@ class FrequencyTrace:
     def __len__(self) -> int:
         return int(self.freqs.size)
 
-    @property
-    def on_chip_power_dbm(self) -> float:
-        return self.instrument_power - self.attenuation
-
 
 @dataclass(frozen=True)
 class LinearParams:

@@ -212,6 +212,16 @@ class TestFitLinear:
         with pytest.raises(SingularJacobianError):
             fit_linear(trace)
 
+    def test_low_frequency_trace_has_a_positive_resonance_floor(self):
+        # A quarter span below 1 kHz reaches -9 kHz; the f_r bound stays > 0.
+        p = make_params(resonant_freq=20e3, internal_loss=1 / 6, coupling_loss=1 / 6)
+        trace = synthesize_linear(p, np.linspace(1e3, 41e3, 401), 0.01, 1)
+        lower, _ = linearfit._linear_bounds(trace)
+        assert lower[4] > 0
+        report = fit_linear(trace)
+        assert report.converged
+        assert report.params.resonant_freq == pytest.approx(20e3, abs=0.01 * loaded_linewidth(p))
+
     def test_low_snr_flagged(self):
         p = make_params()
         trace = make_trace(p, noise=0.2, seed=3)
@@ -393,6 +403,32 @@ class TestStackedSolve:
         order = list(range(len(x0)))[::-1]
         for k, solution in zip(order, self.solve_rows(evaluate, x0, bounds, scales, order)):
             assert_same_solution(solution, stacked[k])
+
+    def test_several_held_patterns_in_one_stack(self, captured, monkeypatch):
+        # Problem 1 ends on its Fano bound and on an internal-loss bound below
+        # the truth, so one round groups problems with no held column, with
+        # Fano held (problem 0) and with Fano and internal_loss held.
+        evaluate, x0, (lower, upper), scales = captured
+        upper = upper.copy()
+        upper[1, 3], upper[1, 5] = 0.1, 0.8e-6
+        x0 = np.minimum(x0, upper)
+        patterns = []
+        free_groups = linearfit._free_groups
+
+        def recording(free):
+            groups = free_groups(free)
+            patterns.append({tuple(np.flatnonzero(~free[positions[0]]).tolist())
+                             for positions, _ in groups})
+            return groups
+
+        monkeypatch.setattr(linearfit, "_free_groups", recording)
+        stacked = _solve(evaluate, x0, (lower, upper), scales)
+        assert any({(), (3,), (3, 5)} <= seen for seen in patterns)
+        assert stacked[1].x[3] == 0.1
+        assert stacked[1].x[5] == pytest.approx(0.8e-6, rel=1e-12)
+        for k, solution in enumerate(stacked):
+            alone, = self.solve_rows(evaluate, x0, (lower, upper), scales, [k])
+            assert_same_solution(solution, alone)
 
     def test_non_finite_jacobian_fails_its_problem_alone(self, captured):
         evaluate, x0, bounds, scales = captured

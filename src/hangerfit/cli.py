@@ -12,12 +12,14 @@ trace is CSV or Touchstone v1 (``.s2p``), on its own and in a sweep
 manifest alike.  A Touchstone sweep entry takes its power from the
 manifest entry and its attenuation and temperature from the manifest; a
 CSV entry whose ``power_dbm``, ``attenuation_db`` or ``temperature_k``
-differs from its manifest is an input error.  ``fit-sweep`` reads every
-power in manifest order, then fits all powers of one point count in one
-stacked least-squares solve; ``extract-kerr`` fits the powers one after
-another.  Either reports the failure at the first failing power in
-manifest order (an unreadable trace, or a fit): the error keeps its class
-(and so its exit code) and its message names the power.
+differs from its manifest is an input error.  ``fit-sweep`` and
+``extract-kerr`` read every power in manifest order up to the first
+unreadable one, then fit all powers of one point count in one stacked
+least-squares solve (``extract-kerr`` first fits its lowest power linearly,
+which anchors the resonance and seeds every power).  Either reports the
+failure at the first failing power in manifest order (an unreadable trace,
+or a fit): the error keeps its class (and so its exit code) and its message
+names the power.
 ``fit-sweep --exclude-nonlinear-powers`` leaves out of the TLS fit each
 power whose own linear fit reports ``nonlinear_suspected``: lag-1
 autocorrelation of the residuals above 0.5 and residual rms above 3 sigma
@@ -41,7 +43,7 @@ from .calibration import dbm_to_watts, input_photon_flux, mean_photon_number
 from .duffing import (
     BranchPolicy,
     extract_kerr_two_photon,
-    fit_nonlinear,
+    fit_nonlinear_stack,
     seed_nonlinear_guess,
 )
 from .errors import (
@@ -153,21 +155,26 @@ def _at_power(power_dbm: float):
         raise
 
 
-def cmd_fit_sweep(args) -> int:
-    manifest = parse_manifest(args.manifest)
-    include_two_photon = args.model == "tls+2photon"
-
-    # Parse up to the first unreadable power, fit every parsed power in one
-    # stacked solve per point count, then report the lowest failing power.
+def _read_sweep(manifest: SweepManifest) -> tuple[list, Exception | None]:
+    """The sweep's traces in manifest order up to the first unreadable one,
+    and that one's error (None if every trace was read)."""
     traces = []
-    unreadable = None
     for path, power_dbm in manifest.entries:
         try:
             with _at_power(power_dbm):
                 traces.append(_load_trace(path, manifest, power_dbm))
         except (OSError, HangerFitError) as exc:
-            unreadable = exc
-            break
+            return traces, exc
+    return traces, None
+
+
+def cmd_fit_sweep(args) -> int:
+    manifest = parse_manifest(args.manifest)
+    include_two_photon = args.model == "tls+2photon"
+
+    # Fit every readable power in one stacked solve per point count, then
+    # report the lowest failing power.
+    traces, unreadable = _read_sweep(manifest)
     fits = fit_linear_stack(traces)
 
     points = []
@@ -236,18 +243,33 @@ def cmd_extract_kerr(args) -> int:
     manifest = parse_manifest(args.manifest)
     policy = BranchPolicy.coerce(args.policy or BranchPolicy.SWEEP_UP)
 
-    base_linear: LinearParams | None = None
-    fits = []
-    for path, power_dbm in manifest.entries:
-        with _at_power(power_dbm):
-            trace = _load_trace(path, manifest, power_dbm)
-            if base_linear is None:
-                # The lowest power anchors the resonance and the drive seed.
-                base_linear = fit_linear(trace).params
-            flux = input_photon_flux(dbm_to_watts(power_dbm - manifest.attenuation),
-                                     base_linear.resonant_freq)
-            guess = seed_nonlinear_guess(trace, base_linear, flux)
-            fits.append(fit_nonlinear(trace, guess, policy))
+    # Fit every readable power in one stacked solve per point count, then
+    # report the lowest failing power.
+    traces, unreadable = _read_sweep(manifest)
+    powers = [power_dbm for _, power_dbm in manifest.entries[:len(traces)]]
+    fits: list = [None] * len(traces)
+    if traces:
+        with _at_power(powers[0]):
+            # The lowest power anchors the resonance and the drive seed.
+            base_linear = fit_linear(traces[0]).params
+        seeded, guesses = [], []
+        for i, power_dbm in enumerate(powers):
+            try:
+                flux = input_photon_flux(dbm_to_watts(power_dbm - manifest.attenuation),
+                                         base_linear.resonant_freq)
+                guesses.append(seed_nonlinear_guess(traces[i], base_linear, flux))
+                seeded.append(i)
+            except HangerFitError as exc:
+                fits[i] = exc
+        stacked = fit_nonlinear_stack([traces[i] for i in seeded], guesses, policy)
+        for i, fit in zip(seeded, stacked):
+            fits[i] = fit
+    for fit, power_dbm in zip(fits, powers):
+        if isinstance(fit, HangerFitError):
+            with _at_power(power_dbm):
+                raise fit
+    if unreadable is not None:
+        raise unreadable
     photon_numbers = [fit.details["max_photon_number"] for fit in fits]
 
     kerr, two_photon, diagnostics = extract_kerr_two_photon(fits, photon_numbers)

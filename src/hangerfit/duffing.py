@@ -60,13 +60,7 @@ from .linearfit import (
     _params_to_vector,
     _vector_to_params,
 )
-from .model import (
-    FrequencyTrace,
-    LinearParams,
-    NonlinearParams,
-    loaded_linewidth,
-    normalized_detuning,
-)
+from .model import FrequencyTrace, LinearParams, NonlinearParams
 
 __all__ = [
     "BranchPolicy",
@@ -75,6 +69,7 @@ __all__ = [
     "eval_nonlinear_s21",
     "photon_numbers",
     "fit_nonlinear",
+    "fit_nonlinear_stack",
     "seed_nonlinear_guess",
     "extract_kerr_two_photon",
 ]
@@ -119,14 +114,18 @@ def normalized_drive_params(p: NonlinearParams) -> tuple[float, float, float]:
     total = lin.total_loss
     if total <= 0 or not math.isfinite(total):
         raise ParameterError("total linewidth must be positive and finite")
-    kappa_hz = lin.resonant_freq * total
-    atilde_sq = lin.coupling_loss * p.drive_flux / (TWO_PI * lin.resonant_freq * total**2)
-    xi = atilde_sq * p.kerr / kappa_hz
-    eta = atilde_sq * p.two_photon / kappa_hz
-    return xi, eta, atilde_sq
+    return _drive_params(lin.resonant_freq, total, lin.coupling_loss, p.kerr, p.two_photon,
+                         p.drive_flux)
 
 
-def _cubic_coefficients(xi: float, eta: float, dtilde: np.ndarray):
+def _drive_params(f_r, total, coupling, kerr, two_photon, drive_flux):
+    """:func:`normalized_drive_params` of scalars, ``total`` the total loss."""
+    kappa_hz = f_r * total
+    atilde_sq = coupling * drive_flux / (TWO_PI * f_r * total**2)
+    return atilde_sq * kerr / kappa_hz, atilde_sq * two_photon / kappa_hz, atilde_sq
+
+
+def _cubic_coefficients(xi, eta, dtilde: np.ndarray):
     c3 = xi * xi + 0.25 * eta * eta
     c2 = 0.5 * eta - 2.0 * xi * dtilde
     c1 = 0.25 + dtilde * dtilde
@@ -146,20 +145,16 @@ def _newton_polish(c3, c2, c1, roots: np.ndarray, iterations: int = 3) -> np.nda
     return x
 
 
-def positive_cubic_roots(xi: float, eta: float, dtilde) -> tuple[np.ndarray, np.ndarray]:
-    """All positive real roots of the photon-number cubic, vectorized.
-
-    Parameters are the dimensionless ``xi`` (signed), ``eta`` (>= 0) and an
-    array of normalized detunings.  Returns ``(roots, counts)`` where
-    ``roots`` has shape (N, 3), ascending and NaN-padded, and ``counts``
-    is the number of positive roots per point (1 or 3 away from
-    tangencies).
-    """
-    if eta < 0:
-        raise ParameterError("eta must be >= 0")
-    dt = np.atleast_1d(np.asarray(dtilde, dtype=float))
-    c3, c2, c1 = _cubic_coefficients(xi, eta, dt)
-    n = dt.size
+def _cubic_roots(c3, c2, c1) -> tuple[np.ndarray, np.ndarray]:
+    """All positive real roots of ``c3*x**3 + c2*x**2 + c1*x - 1/2`` at each
+    point of coefficient arrays of one broadcast shape S: ``(roots,
+    counts)``, roots of shape S + (3,), ascending and NaN-padded, and the
+    number of positive roots per point (0 only where the arithmetic
+    overflowed).  Every point's roots are computed elementwise, so they do
+    not depend on the other points."""
+    shape = np.broadcast_shapes(np.shape(c3), np.shape(c2), np.shape(c1))
+    c3, c2, c1 = (np.broadcast_to(c, shape).ravel() for c in (c3, c2, c1))
+    n = c1.size
     candidates = np.full((n, 3), np.nan)
     any_three = False
 
@@ -173,38 +168,11 @@ def positive_cubic_roots(xi: float, eta: float, dtilde) -> tuple[np.ndarray, np.
 
     cubic = ~nearly_linear
     if np.any(cubic):
-        c2_c = c2[cubic]
-        c1_c = c1[cubic]
-        a = c2_c / c3
-        b = c1_c / c3
-        c = -0.5 / c3
-        p = b - a * a / 3.0
-        q = 2.0 * a * a * a / 27.0 - a * b / 3.0 + c
-        disc = -4.0 * p * p * p - 27.0 * q * q
-
-        sub = np.full((c2_c.size, 3), np.nan)
-        three = disc > 0.0
-        any_three = bool(np.any(three))
-        if any_three:
-            p3, q3, a3 = p[three], q[three], a[three]
-            r = 2.0 * np.sqrt(-p3 / 3.0)
-            arg = np.clip(3.0 * q3 / (p3 * r), -1.0, 1.0)
-            theta = np.arccos(arg)
-            for k in range(3):
-                sub[three, k] = r * np.cos((theta - TWO_PI * k) / 3.0) - a3 / 3.0
-        one = ~three
-        if np.any(one):
-            p1, q1, a1 = p[one], q[one], a[one]
-            s = np.sqrt(np.maximum(0.25 * q1 * q1 + p1 * p1 * p1 / 27.0, 0.0))
-            w = -0.5 * q1 - np.where(q1 >= 0, 1.0, -1.0) * s
-            u = np.cbrt(w)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                t = np.where(u != 0.0, u - p1 / (3.0 * np.where(u == 0.0, 1.0, u)), 0.0)
-            sub[one, 0] = t - a1 / 3.0
-        candidates[cubic] = sub
+        candidates[cubic], any_three = _cardano(c3[cubic], c2[cubic], c1[cubic])
 
     if any_three:
-        candidates = _newton_polish(c3, c2[:, None], c1[:, None], candidates)
+        # A point with one root keeps column 0 as polishing it alone would.
+        candidates = _newton_polish(c3[:, None], c2[:, None], c1[:, None], candidates)
         candidates = np.where(candidates > 0.0, candidates, np.nan)
         candidates = np.sort(candidates, axis=1)  # NaN sorts last
     else:
@@ -212,11 +180,111 @@ def positive_cubic_roots(xi: float, eta: float, dtilde) -> tuple[np.ndarray, np.
         first = _newton_polish(c3, c2, c1, candidates[:, 0])
         candidates[:, 0] = np.where(first > 0.0, first, np.nan)
     counts = np.sum(~np.isnan(candidates), axis=1)
+    return candidates.reshape(shape + (3,)), counts.reshape(shape)
+
+
+def _cardano(c3, c2, c1) -> tuple[np.ndarray, bool]:
+    """The cubic's real roots at each point by Cardano's formula, unpolished:
+    ``(roots, any_three)``, roots (n, 3) NaN-padded, unsorted and not yet
+    checked for sign.  A separate function, so its temporaries are freed
+    before the polish."""
+    a = c2 / c3
+    b = c1 / c3
+    c = -0.5 / c3
+    p = b - a * a / 3.0
+    q = 2.0 * a * a * a / 27.0 - a * b / 3.0 + c
+    disc = -4.0 * p * p * p - 27.0 * q * q
+
+    sub = np.full((a.size, 3), np.nan)
+    three = disc > 0.0
+    any_three = bool(np.any(three))
+    if any_three:
+        p3, q3, a3 = p[three], q[three], a[three]
+        r = 2.0 * np.sqrt(-p3 / 3.0)
+        arg = np.clip(3.0 * q3 / (p3 * r), -1.0, 1.0)
+        theta = np.arccos(arg)
+        for k in range(3):
+            sub[three, k] = r * np.cos((theta - TWO_PI * k) / 3.0) - a3 / 3.0
+    one = ~three
+    if np.any(one):
+        p1, q1, a1 = p[one], q[one], a[one]
+        s = np.sqrt(np.maximum(0.25 * q1 * q1 + p1 * p1 * p1 / 27.0, 0.0))
+        w = -0.5 * q1 - np.where(q1 >= 0, 1.0, -1.0) * s
+        u = np.cbrt(w)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = np.where(u != 0.0, u - p1 / (3.0 * np.where(u == 0.0, 1.0, u)), 0.0)
+        sub[one, 0] = t - a1 / 3.0
+    return sub, any_three
+
+
+def positive_cubic_roots(xi: float, eta: float, dtilde) -> tuple[np.ndarray, np.ndarray]:
+    """All positive real roots of the photon-number cubic, vectorized.
+
+    Parameters are the dimensionless ``xi`` (signed), ``eta`` (>= 0) and an
+    array of normalized detunings.  Returns ``(roots, counts)`` where
+    ``roots`` has shape (N, 3), ascending and NaN-padded, and ``counts``
+    is the number of positive roots per point (1 or 3 away from
+    tangencies).
+    """
+    if eta < 0:
+        raise ParameterError("eta must be >= 0")
+    dt = np.atleast_1d(np.asarray(dtilde, dtype=float))
+    roots, counts = _cubic_roots(*_cubic_coefficients(xi, eta, dt))
     if np.any(counts == 0):
-        raise InternalConsistencyError(
-            "photon-number cubic returned no positive root; this should be "
-            "impossible for eta >= 0")
-    return candidates, counts
+        raise _no_root_error()
+    return roots, counts
+
+
+def _no_root_error() -> InternalConsistencyError:
+    return InternalConsistencyError(
+        "photon-number cubic returned no positive root; this should be "
+        "impossible for eta >= 0")
+
+
+def _select_branches(roots: np.ndarray, counts: np.ndarray, dt: np.ndarray,
+                     policy: BranchPolicy) -> tuple[np.ndarray, list]:
+    """The selected root at each point of a stack of detuning grids.
+
+    ``roots`` (K, N, 3) and ``counts`` (K, N) are :func:`_cubic_roots` of
+    the grids ``dt`` (K, N).  Returns ``(ntilde, errors)``: a grid with a
+    point without a positive root, or a grid that a sweep policy finds not
+    strictly increasing, gets NaN and its error in ``errors``, the others
+    None.
+    """
+    errors: list = [None] * len(dt)
+    for k in np.flatnonzero(np.any(counts == 0, axis=1)).tolist():
+        errors[k] = _no_root_error()
+    sweep = policy in (BranchPolicy.SWEEP_UP, BranchPolicy.SWEEP_DOWN)
+    if sweep:
+        unordered = np.any(np.diff(dt, axis=1) <= 0, axis=1).tolist()
+        for k, bad in enumerate(unordered):
+            if bad and errors[k] is None:
+                errors[k] = ParameterError("sweep policies require a strictly increasing grid")
+    if policy is BranchPolicy.HIGH:
+        # np.nanmax without its warning on a grid without roots.
+        selected = np.fmax.reduce(roots, axis=2)
+    else:
+        selected = roots[..., 0].copy()
+    if sweep:
+        # Where the root is unique everywhere, all policies coincide;
+        # elsewhere a sequential continuation runs along the sweep direction.
+        n = dt.shape[1]
+        order = range(n) if policy is BranchPolicy.SWEEP_UP else range(n - 1, -1, -1)
+        for k in np.flatnonzero(np.any(counts != 1, axis=1)).tolist():
+            if errors[k] is not None:
+                continue
+            grid_roots, grid_counts, prev = roots[k], counts[k].tolist(), None
+            for i in order:
+                row = grid_roots[i, :grid_counts[i]]
+                if prev is None:
+                    prev = row[0] if policy is BranchPolicy.SWEEP_UP else row[-1]
+                else:
+                    prev = row[int(np.argmin(np.abs(row - prev)))]
+                selected[k, i] = prev
+    for k, error in enumerate(errors):
+        if error is not None:
+            selected[k] = np.nan
+    return selected, errors
 
 
 def selected_photon_numbers(xi: float, eta: float, dtilde,
@@ -230,27 +298,10 @@ def selected_photon_numbers(xi: float, eta: float, dtilde,
     policy = BranchPolicy.coerce(policy)
     dt = np.atleast_1d(np.asarray(dtilde, dtype=float))
     roots, counts = positive_cubic_roots(xi, eta, dt)
-    if policy is BranchPolicy.LOW:
-        return roots[:, 0].copy(), counts
-    if policy is BranchPolicy.HIGH:
-        return np.nanmax(roots, axis=1), counts
-
-    if dt.size > 1 and np.any(np.diff(dt) <= 0):
-        raise ParameterError("sweep policies require a strictly increasing grid")
-    if np.all(counts == 1):
-        # Unique root everywhere: all policies coincide, no continuation needed.
-        return roots[:, 0].copy(), counts
-    order = range(dt.size) if policy is BranchPolicy.SWEEP_UP else range(dt.size - 1, -1, -1)
-    selected = np.empty(dt.size)
-    prev = None
-    for i in order:
-        row = roots[i, :counts[i]]
-        if prev is None:
-            prev = row[0] if policy is BranchPolicy.SWEEP_UP else row[-1]
-        else:
-            prev = row[int(np.argmin(np.abs(row - prev)))]
-        selected[i] = prev
-    return selected, counts
+    selected, (error,) = _select_branches(roots[None], counts[None], dt[None], policy)
+    if error is not None:
+        raise error
+    return selected[0], counts
 
 
 def branch_jump_indices(selected: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -280,16 +331,14 @@ def branch_jump_indices(selected: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def eval_nonlinear_s21(p: NonlinearParams, freqs,
                        policy: BranchPolicy | str = BranchPolicy.SWEEP_UP) -> np.ndarray:
     """Nonlinear transmission at the given frequencies (Hz)."""
-    s21, _, _ = _nonlinear_line_shape(p, np.asarray(freqs, dtype=float), policy)
+    s21, _, _ = _nonlinear_line_shape(p, freqs, policy)
     return s21
 
 
 def photon_numbers(p: NonlinearParams, freqs,
                    policy: BranchPolicy | str = BranchPolicy.SWEEP_UP) -> np.ndarray:
     """Physical intra-resonator photon number per frequency point."""
-    xi, eta, atilde_sq = normalized_drive_params(p)
-    dt = normalized_detuning(p.linear, np.asarray(freqs, dtype=float))
-    ntilde, _ = selected_photon_numbers(xi, eta, dt, policy)
+    _, _, (_, _, atilde_sq, ntilde, _) = _nonlinear_line_shape(p, freqs, policy)
     return ntilde * atilde_sq
 
 
@@ -332,55 +381,92 @@ def seed_nonlinear_guess(trace: FrequencyTrace, linear: LinearParams,
                            drive_flux=drive_flux)
 
 
-def _nonlinear_line_shape(p: NonlinearParams, freqs: np.ndarray,
-                          policy: BranchPolicy | str):
-    """The nonlinear model as a :func:`~hangerfit.linearfit._line_shape` of
-    one problem, and the photon numbers it was evaluated with: ``(s21,
-    jacobian, (xi, eta, atilde_sq, nt, counts))``, where ``s21`` is 1-d,
-    ``nt`` is the selected root per point and ``counts`` the number of
-    positive roots.
+def _nonlinear_line_shapes(x: np.ndarray, freqs: np.ndarray, drive_flux: np.ndarray,
+                           policy: BranchPolicy):
+    """The nonlinear model of a stack of problems as a
+    :func:`~hangerfit.linearfit._line_shape`, and the photon numbers it was
+    evaluated with: ``(s21, jacobian, (xi, eta, atilde_sq, nt, counts),
+    errors)``.
 
-    The photon-number cubic is solved once, here; the Jacobian reuses this
-    evaluation's root ``nt``, detuning ``dt``, ``xi``, ``eta`` and
-    denominator.  Its columns follow ``_NL_PARAM_NAMES``.  With ``g =
+    Row k of ``x`` holds problem k's fit vector (``_NL_PARAM_NAMES``, a
+    negative two_photon read as 0), row k of ``freqs`` its grid and of the
+    (K, 1) ``drive_flux`` its flux.  ``xi``, ``eta`` and ``atilde_sq`` have
+    one entry per problem, ``nt`` is the selected root and ``counts`` the
+    number of positive roots at each point, (K, N).  Every problem's entries
+    are computed as on a stack of one.  ``errors[k]`` is None, or the error
+    of a problem whose roots could not be selected (see
+    :func:`_select_branches`); that problem's S21 is NaN.
+
+    The photon-number cubic is solved once, here, for all problems at once;
+    the Jacobian reuses this evaluation's roots ``nt``, detunings ``dt``,
+    ``xi``, ``eta`` and denominators, and builds its rows only for the
+    problems asked for.  Its columns follow ``_NL_PARAM_NAMES``.  With ``g =
     delta_c*drive_flux/(2*pi*f_r**2*(delta_i + delta_c)**3)`` the drive
     parameters are ``xi = g*kerr`` and ``eta = g*two_photon``.  The selected
     root's derivative follows from the cubic ``F(nt; xi, eta, dt) = 0`` by
     implicit differentiation, ``d(nt) = -(F_xi*d(xi) + F_eta*d(eta) +
     F_dt*d(dt))/F_nt``, which holds on whichever branch the policy selected.
     """
-    lin = p.linear
-    xi, eta, atilde_sq = normalized_drive_params(p)
-    dt = normalized_detuning(lin, freqs)
-    nt, counts = selected_photon_numbers(xi, eta, dt, policy)
+    f_r, coupling = x[:, 4, None], x[:, 6, None]
+    kerr, two_photon = x[:, 7, None], np.maximum(x[:, 8, None], 0.0)
+    total = x[:, 5, None] + coupling
+    # Each row's drive parameters as scalars: numpy's vectorized square
+    # rounds differently from the scalar one (see ``linearfit._squares``).
+    columns = (f_r, total, coupling, kerr, two_photon, drive_flux)
+    drive = [_drive_params(*row) for row in zip(*(c[:, 0].tolist() for c in columns))]
+    xi, eta, atilde_sq = np.array(drive).T[:, :, None]
+    kappa_hz = f_r * total
+    dt = (freqs - f_r) / kappa_hz
+    c3, c2, c1 = _cubic_coefficients(xi, eta, dt)
+    roots, counts = _cubic_roots(c3, c2, c1)
+    nt, errors = _select_branches(roots, counts, dt, policy)
     denom = 1.0 + eta * nt + 2j * (dt - xi * nt)
+    failed = [k for k, error in enumerate(errors) if error is not None]
+    # Dividing by a failed problem's NaN denominator would warn: NaN its
+    # S21 instead.
+    denom[failed] = 1.0
 
-    def d_denom():
-        total = lin.total_loss
-        g = atilde_sq / loaded_linewidth(lin)
-        # Rows: resonant_freq, internal_loss, coupling_loss, kerr, two_photon.
-        d_g = g * np.array([-2.0 / lin.resonant_freq, -3.0 / total,
-                            1.0 / lin.coupling_loss - 3.0 / total, 0.0, 0.0])
-        d_xi = p.kerr * d_g
-        d_xi[3] = g
-        d_eta = p.two_photon * d_g
-        d_eta[4] = g
-        d_xi, d_eta = d_xi[:, None], d_eta[:, None]
-        d_dt = np.concatenate([_detuning_derivatives(lin.resonant_freq, total, freqs, dt),
-                               np.zeros((2, dt.size))])
+    def d_denom(sel):
+        f_r_s, total_s, xi_s, eta_s, dt_s, nt_s = (
+            f_r[sel], total[sel], xi[sel], eta[sel], dt[sel], nt[sel])
+        g = atilde_sq[sel] / kappa_hz[sel]
+        # Columns: resonant_freq, internal_loss, coupling_loss, kerr, two_photon.
+        zero = np.zeros_like(g)
+        d_g = g * np.concatenate([-2.0 / f_r_s, -3.0 / total_s,
+                                  1.0 / coupling[sel] - 3.0 / total_s, zero, zero], axis=1)
+        d_xi = kerr[sel] * d_g
+        d_xi[:, 3] = g[:, 0]
+        d_eta = two_photon[sel] * d_g
+        d_eta[:, 4] = g[:, 0]
+        d_xi, d_eta = d_xi[:, :, None], d_eta[:, :, None]
+        d_dt = np.concatenate([_detuning_derivatives(f_r_s, total_s, freqs[sel], dt_s),
+                               np.zeros((dt_s.shape[0], 2, dt_s.shape[1]))], axis=1)
 
-        c3, c2, c1 = _cubic_coefficients(xi, eta, dt)
-        nt_sq = nt * nt
-        f_nt = (3.0 * c3 * nt + 2.0 * c2) * nt + c1
-        f_xi = 2.0 * (xi * nt - dt) * nt_sq
-        f_eta = 0.5 * (eta * nt + 1.0) * nt_sq
-        f_dt = 2.0 * (dt - xi * nt) * nt
-        d_nt = -(f_xi * d_xi + f_eta * d_eta + f_dt * d_dt) / f_nt
-        return ((eta - 2j * xi) * d_nt + nt * (d_eta - 2j * d_xi) + 2j * d_dt)[None]
+        nt_sq = nt_s * nt_s
+        f_nt = (3.0 * c3[sel] * nt_s + 2.0 * c2[sel]) * nt_s + c1[sel]
+        f_xi = 2.0 * (xi_s * nt_s - dt_s) * nt_sq
+        f_eta = 0.5 * (eta_s * nt_s + 1.0) * nt_sq
+        f_dt = 2.0 * (dt_s - xi_s * nt_s) * nt_s
+        d_nt = -(f_xi[:, None] * d_xi + f_eta[:, None] * d_eta
+                 + f_dt[:, None] * d_dt) / f_nt[:, None]
+        return ((eta_s - 2j * xi_s)[:, :, None] * d_nt
+                + nt_s[:, None] * (d_eta - 2j * d_xi) + 2j * d_dt)
 
-    s21, jacobian = _line_shape(_params_to_vector(lin)[None], freqs[None], denom[None],
-                                lambda sel: d_denom())
-    return s21[0], jacobian, (xi, eta, atilde_sq, nt, counts)
+    s21, jacobian = _line_shape(x, freqs, denom, d_denom)
+    s21[failed] = np.nan
+    return s21, jacobian, (xi[:, 0], eta[:, 0], atilde_sq[:, 0], nt, counts), errors
+
+
+def _nonlinear_line_shape(p: NonlinearParams, freqs, policy: BranchPolicy | str):
+    """:func:`_nonlinear_line_shapes` of one problem on a 1-d grid: ``(s21,
+    jacobian, (xi, eta, atilde_sq, nt, counts))``, with ``s21``, ``nt`` and
+    ``counts`` 1-d; raises the problem's error."""
+    grid = np.atleast_1d(np.asarray(freqs, dtype=float))
+    s21, jacobian, photons, (error,) = _nonlinear_line_shapes(
+        _nl_vector(p)[None], grid[None], np.array([[p.drive_flux]]), BranchPolicy.coerce(policy))
+    if error is not None:
+        raise error
+    return s21[0], jacobian, tuple(a[0] for a in photons)
 
 
 def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
@@ -388,20 +474,25 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
     """Least-squares fit of the nonlinear line shape to one trace.
 
     The solve is the shared core ``linearfit._fit_line_shape``, on a stack
-    of one, on the linear fit vector plus ``kerr`` and ``two_photon`` (>=
-    0).  The drive flux is held fixed at ``guess.drive_flux`` (floating it
-    is degenerate with the two rates).  Each evaluation of the solve builds
-    the trial point's :class:`NonlinearParams` and finds the photon-number
-    cubic's roots once per frequency point, and the exact Jacobian at an
-    accepted point reuses them (see :func:`_nonlinear_line_shape`).  The
-    branch check, ``bifurcated`` and ``max_photon_number`` read the roots of
-    the solution's own evaluation.
+    of one (:func:`fit_nonlinear_stack`), on the linear fit vector plus
+    ``kerr`` and ``two_photon`` (>= 0).  The drive flux is held fixed at
+    ``guess.drive_flux`` (floating it is degenerate with the two rates).
+    Each evaluation of the solve finds the photon-number cubic's roots once
+    per frequency point, and the exact Jacobian at an accepted point reuses
+    them (see :func:`_nonlinear_line_shapes`).  The branch check,
+    ``bifurcated`` and ``max_photon_number`` read the roots of the
+    solution's own evaluation.  Every finite point within the bounds is
+    valid parameters (two_photon is read as max(two_photon, 0)), and the
+    solve's trial points are finite, so no trial point is invalid.
 
     Raises
     ------
     ParameterError
-        Fewer than 12 points (p + 3 for the 9 parameters), or at once if a
-        trial point is not valid parameters.
+        Fewer than 12 points (p + 3 for the 9 parameters), or a sweep
+        policy on a detuning grid that is not strictly increasing.
+    InternalConsistencyError
+        The cubic has no positive root at a grid point (only where its
+        arithmetic overflows).
     SingularJacobianError
         The trace is constant.
     NonConvergenceError
@@ -410,37 +501,68 @@ def fit_nonlinear(trace: FrequencyTrace, guess: NonlinearParams,
         The selected branch at the solution jumps discontinuously away
         from a fold point (threshold :data:`CONTINUITY_THRESHOLD`).
     """
-    policy = BranchPolicy.coerce(policy)
-    drive_flux = guess.drive_flux
-    lower, upper = _linear_bounds(trace)
-    solution = None
+    result, = fit_nonlinear_stack([trace], [guess], policy)
+    if isinstance(result, HangerFitError):
+        raise result
+    return result
 
-    def line_shape(x, freqs):
-        s21, jacobian, photons = _nonlinear_line_shape(_nl_params(x[0], drive_flux), freqs[0],
-                                                       policy)
+
+def fit_nonlinear_stack(traces: list[FrequencyTrace], guesses: list[NonlinearParams],
+                        policy: BranchPolicy | str = BranchPolicy.SWEEP_UP) -> list:
+    """:func:`fit_nonlinear` of each trace from its guess, with one
+    least-squares solve for all traces of one point count.
+
+    Each fit takes the same steps and gives the same report as
+    :func:`fit_nonlinear` of its trace alone.  Returns one entry per trace,
+    in order: its :class:`FitReport`, or the error :func:`fit_nonlinear`
+    would raise for it.  An evaluation whose roots cannot be selected
+    decides its trace's entry, its error, but ends no fit: the solve reads
+    its NaN residuals as a failed step.
+    """
+    policy = BranchPolicy.coerce(policy)
+    flux = [guess.drive_flux for guess in guesses]
+    flux_column = np.array(flux)[:, None]
+    # Per trace, the photon numbers of the last point whose Jacobian was
+    # built: the solve builds a Jacobian only at the points it moves to, so
+    # that point is the solution.
+    photons: list = [None] * len(traces)
+    # Per trace, the error of its first evaluation whose roots could not be
+    # selected: alone, that evaluation raises it and ends the fit.
+    failures: list = [None] * len(traces)
+
+    def line_shape(x, freqs, rows):
+        s21, jacobian, evaluated, errors = _nonlinear_line_shapes(
+            x, freqs, flux_column[rows], policy)
+        for i, error in zip(rows, errors):
+            failures[i] = failures[i] or error
 
         def jacobian_here(sel, f_center):
-            # The solve builds a Jacobian only at the points it moves to, so
-            # the last one built is at the solution.
-            nonlocal solution
-            solution = photons
+            for pos in np.arange(len(rows))[sel].tolist():
+                photons[rows[pos]] = tuple(a[pos].copy() for a in evaluated)
             return jacobian(sel, f_center)
-        return s21[None], jacobian_here
+        return s21, jacobian_here
 
-    bounds = (np.append(lower, [-np.inf, 0.0]), np.append(upper, [np.inf, np.inf]))
-    fit, = _fit_line_shape(
-        [trace], _NL_PARAM_NAMES, lambda i: guess, _nl_vector,
-        lambda x: _nl_params(x, drive_flux), lambda trace: bounds,
-        lambda x0, trace: _nl_scales(x0, trace, drive_flux), line_shape)
-    if isinstance(fit, HangerFitError):
-        raise fit
-    report, _ = fit
+    def bounds_of(i):
+        lower, upper = _linear_bounds(traces[i])
+        return np.append(lower, [-np.inf, 0.0]), np.append(upper, [np.inf, np.inf])
+
+    fits = _fit_line_shape(
+        traces, _NL_PARAM_NAMES, lambda i: guesses[i], _nl_vector,
+        lambda x, i: _nl_params(x, flux[i]), bounds_of,
+        lambda x0, i: _nl_scales(x0, traces[i], flux[i]), line_shape)
+    return [failures[i] or (fit if isinstance(fit, HangerFitError)
+                            else _nonlinear_report(fit[0], photons[i], flux[i]))
+            for i, fit in enumerate(fits)]
+
+
+def _nonlinear_report(report: FitReport, photons, drive_flux: float):
+    """A nonlinear fit's report with its diagnostics and details, from the
+    photon numbers at its solution; or BifurcationUnstableError."""
     params, std_errors = report.params, report.std_errors
-
-    xi, eta, atilde_sq, ntilde, counts = solution
+    xi, eta, atilde_sq, ntilde, counts = photons
     jumps = branch_jump_indices(ntilde, counts)
     if jumps.size:
-        raise BifurcationUnstableError(
+        return BifurcationUnstableError(
             f"selected branch jumps at grid indices {jumps.tolist()}")
 
     diagnostics = set()

@@ -11,8 +11,11 @@ residuals stacked as (K, m) and Jacobians as (K, m, p), while damping,
 acceptance and the stops stay per problem.  Each problem takes exactly the
 trials, and gets bit for bit the result, it would get alone, because every
 stacked operation rounds each row as the 2-D operation on that row would
-(see :func:`_solve`).  ``fit-sweep`` fits all powers of one point count in
-one stack (:func:`fit_linear_stack`); the other fits are stacks of one.
+(see :func:`_solve`).  ``fit-sweep`` and ``extract-kerr`` fit all powers of
+one point count in one stack (:func:`fit_linear_stack` and
+:func:`hangerfit.duffing.fit_nonlinear_stack`); ``fit-linear``,
+``extract-kerr``'s anchor fit and :func:`hangerfit.tls.fit_tls` are stacks of
+one.
 Each fit hands the solver one evaluator, which returns the residuals at the
 trial points and a function that builds their Jacobians from the
 evaluation's own intermediates; the solver builds them only where it needs
@@ -24,7 +27,8 @@ outweighs that gain, and one trial that disagrees with the model ends the
 solve.
 :func:`_fit_line_shape` is the line-shape work of the first two: it needs
 p + 3 points for p parameters, raises :class:`SingularJacobianError` on a
-constant trace, references the phase to the window centre and reports.
+constant trace, stacks the traces of each point count, references the phase
+to the window centre and reports.
 :func:`_line_shape` is the hanger line shape both fits evaluate.
 
 Every caller shares one noise estimate (:func:`_noise_sigma`) and one dip
@@ -626,19 +630,22 @@ def _solve(evaluate, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray],
 
 def _fit_line_shape(traces: list, names: list[str], start, to_vector, make_params,
                     bounds_of, scales_of, line_shape) -> list:
-    """Least-squares fits of a hanger line shape to a stack of traces of
-    one length, shared by both fits: one :func:`_solve` for the stack.
+    """Least-squares fits of a hanger line shape to a stack of traces,
+    shared by both fits: one :func:`_solve` for the traces of each point
+    count.
 
     The fit vector, labelled by ``names``, starts with the seven linear
-    parameters.  ``start(i)`` gives trace i's starting parameters after the
-    input guards; ``to_vector``/``make_params`` map parameters to vectors
-    and back; ``bounds_of(trace)`` gives a trace's bounds and
-    ``scales_of(x0, trace)`` its unit scales at the start clipped to them.
-    ``line_shape(x, freqs)`` is a :func:`_line_shape` of the raw parameter
-    rows ``x`` and grids ``freqs``: S21 and a function giving the
-    derivatives of its stacked real/imaginary parts with the phase at given
-    centres (see :func:`_fit_variables`).  Each :func:`_solve` evaluation
-    calls it once.  Every point within the bounds must be valid parameters.
+    parameters.  Every callback names its trace by its index i in
+    ``traces``: ``start(i)`` gives trace i's starting parameters after the
+    input guards; ``to_vector(params)`` and ``make_params(x, i)`` map
+    parameters to vectors and back; ``bounds_of(i)`` gives trace i's bounds
+    and ``scales_of(x0, i)`` its unit scales at the start clipped to them.
+    ``line_shape(x, freqs, rows)`` is a :func:`_line_shape` of the raw
+    parameter rows ``x`` and grids ``freqs`` of traces ``rows``: S21 and a
+    function giving the derivatives of its stacked real/imaginary parts with
+    the phase at given centres (see :func:`_fit_variables`).  Each
+    :func:`_solve` evaluation calls it once.  Every finite point within the
+    bounds must be valid parameters, and no problem's evaluation may raise.
 
     Returns one entry per trace: ``(report, complex residuals)``, the
     report without diagnostics or details, with ``converged`` False when
@@ -649,60 +656,59 @@ def _fit_line_shape(traces: list, names: list[str], start, to_vector, make_param
     """
     n_params = len(names)
     results: list = [None] * len(traces)
-    index, starts, lowers, uppers, scales = [], [], [], [], []
+    starts, bounds, scales = {}, {}, {}
+    by_length: dict = {}
     for i, trace in enumerate(traces):
         try:
             if len(trace) < n_params + 3:
                 raise ParameterError(f"need >= {n_params + 3} points to fit {n_params} parameters")
             if np.ptp(trace.s21.real) == 0.0 and np.ptp(trace.s21.imag) == 0.0:
                 raise SingularJacobianError("trace is constant; nothing to fit")
-            lower, upper = bounds_of(trace)
-            x0 = np.minimum(np.maximum(to_vector(start(i)), lower), upper)
-            scales.append(scales_of(x0, trace))
+            lower, upper = bounds[i] = bounds_of(i)
+            starts[i] = np.minimum(np.maximum(to_vector(start(i)), lower), upper)
+            scales[i] = scales_of(starts[i], i)
         except HangerFitError as exc:
             results[i] = exc
             continue
-        index.append(i)
-        starts.append(x0)
-        lowers.append(lower)
-        uppers.append(upper)
-    if not index:
-        return results
-    freqs = np.stack([traces[i].freqs for i in index])
-    data = np.stack([traces[i].s21 for i in index])
-    centres = [float(np.mean(traces[i].freqs)) for i in index]
-    f_center = np.array(centres)[:, None]
+        by_length.setdefault(len(trace), []).append(i)
+    for index in by_length.values():
+        freqs = np.stack([traces[i].freqs for i in index])
+        data = np.stack([traces[i].s21 for i in index])
+        centres = [float(np.mean(traces[i].freqs)) for i in index]
+        f_center = np.array(centres)[:, None]
 
-    def evaluate(x, rows):
-        picked = _span(rows)
-        x = x.copy()
-        x[:, 2] = [math.remainder(phase - TWO_PI * centres[k] * delay, TWO_PI)
-                   for phase, delay, k in zip(x[:, 2].tolist(), x[:, 1].tolist(), rows)]
-        s21, jacobian = line_shape(x, freqs[picked])
-        diff = s21 - data[picked]
-        centre = f_center[picked]
-        return (np.concatenate([diff.real, diff.imag], axis=1),
-                lambda sel: jacobian(sel, centre[sel]))
+        # Called only within this iteration's solve.
+        def evaluate(x, rows):
+            picked = _span(rows)
+            x = x.copy()
+            x[:, 2] = [math.remainder(phase - TWO_PI * centres[k] * delay, TWO_PI)
+                       for phase, delay, k in zip(x[:, 2].tolist(), x[:, 1].tolist(), rows)]
+            s21, jacobian = line_shape(x, freqs[picked], [index[k] for k in rows])
+            diff = s21 - data[picked]
+            centre = f_center[picked]
+            return (np.concatenate([diff.real, diff.imag], axis=1),
+                    lambda sel: jacobian(sel, centre[sel]))
 
-    x0 = np.stack([_fit_variables(x, centre) for x, centre in zip(starts, centres)])
-    solutions = _solve(evaluate, x0, (np.stack(lowers), np.stack(uppers)), np.stack(scales))
-    for i, centre, solution in zip(index, centres, solutions):
-        if isinstance(solution, HangerFitError):
-            results[i] = solution
-            continue
-        params = _params_at(solution.x, centre, make_params)
-        n = len(traces[i])
-        resid = solution.residuals
-        # phase_offset = phi_center - 2*pi*f_center*t_d: propagate linearly.
-        transform = np.eye(n_params)
-        transform[2, 1] = -TWO_PI * centre
-        cov = transform @ solution.covariance @ transform.T
-        std_errors = {name: float(np.sqrt(max(cov[c, c], 0.0)))
-                      for c, name in enumerate(names)}
-        report = FitReport(params=params, std_errors=std_errors,
-                           residual_rms=float(np.sqrt(np.sum(resid**2) / n)),
-                           n_points=n, converged=solution.converged)
-        results[i] = (report, resid[:n] + 1j * resid[n:])
+        x0 = np.stack([_fit_variables(starts[i], centre) for i, centre in zip(index, centres)])
+        lower, upper = (np.stack([bounds[i][side] for i in index]) for side in (0, 1))
+        solutions = _solve(evaluate, x0, (lower, upper), np.stack([scales[i] for i in index]))
+        for i, centre, solution in zip(index, centres, solutions):
+            if isinstance(solution, HangerFitError):
+                results[i] = solution
+                continue
+            params = _params_at(solution.x, centre, lambda x: make_params(x, i))
+            n = len(traces[i])
+            resid = solution.residuals
+            # phase_offset = phi_center - 2*pi*f_center*t_d: propagate linearly.
+            transform = np.eye(n_params)
+            transform[2, 1] = -TWO_PI * centre
+            cov = transform @ solution.covariance @ transform.T
+            std_errors = {name: float(np.sqrt(max(cov[c, c], 0.0)))
+                          for c, name in enumerate(names)}
+            report = FitReport(params=params, std_errors=std_errors,
+                               residual_rms=float(np.sqrt(np.sum(resid**2) / n)),
+                               n_points=n, converged=solution.converged)
+            results[i] = (report, resid[:n] + 1j * resid[n:])
     return results
 
 
@@ -746,21 +752,16 @@ def fit_linear_stack(traces: list[FrequencyTrace], guesses: list | None = None) 
     """
     sigmas = [_noise_sigma(trace.s21) for trace in traces]
     guesses = guesses or [None] * len(traces)
-    results: list = [None] * len(traces)
-    by_length: dict = {}
-    for i, trace in enumerate(traces):
-        by_length.setdefault(len(trace), []).append(i)
-    for index in by_length.values():
-        def start(k, index=index):
-            i = index[k]
-            return guesses[i] if guesses[i] is not None else _estimate_initial(traces[i], sigmas[i])
 
-        fits = _fit_line_shape([traces[i] for i in index], _PARAM_NAMES, start, _params_to_vector,
-                               _vector_to_params, _linear_bounds, _linear_scales,
-                               _linear_line_shape)
-        for i, fit in zip(index, fits):
-            results[i] = fit if isinstance(fit, HangerFitError) else _linear_report(*fit, sigmas[i])
-    return results
+    def start(i):
+        return guesses[i] if guesses[i] is not None else _estimate_initial(traces[i], sigmas[i])
+
+    fits = _fit_line_shape(traces, _PARAM_NAMES, start, _params_to_vector,
+                           lambda x, i: _vector_to_params(x), lambda i: _linear_bounds(traces[i]),
+                           lambda x0, i: _linear_scales(x0, traces[i]),
+                           lambda x, freqs, rows: _linear_line_shape(x, freqs))
+    return [fit if isinstance(fit, HangerFitError) else _linear_report(*fit, sigma)
+            for fit, sigma in zip(fits, sigmas)]
 
 
 def _linear_report(report: FitReport, resid: np.ndarray, sigma: float) -> FitReport:

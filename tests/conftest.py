@@ -158,6 +158,23 @@ def record_costs(monkeypatch, module):
     return costs
 
 
+def record_counts(monkeypatch, module):
+    """Replace ``module._solve`` by a wrapper that records, for each problem
+    of each stacked solve in stack order, its (evaluations, Jacobians) or
+    the class of the error that ended it; returns the list."""
+    counts = []
+    solve = module._solve
+
+    def recording(evaluate, x0, bounds, scales):
+        solutions = solve(evaluate, x0, bounds, scales)
+        counts.extend(type(s) if isinstance(s, Exception) else (s.evaluations, s.jacobians)
+                      for s in solutions)
+        return solutions
+
+    monkeypatch.setattr(module, "_solve", recording)
+    return counts
+
+
 def evaluations_at_floor(costs, rel=1e-10):
     """Evaluations a solve made after its cost first came within ``rel`` of
     its final value, the lowest cost it evaluated."""

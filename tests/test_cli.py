@@ -462,6 +462,45 @@ class TestExtractKerrCommand:
                     "--plot-table", tmp_path / "slope.csv"]) == 0
         assert parsed == [path for path, _ in parse_manifest(manifest_path).entries]
 
+    def test_first_failing_power_decides_the_error(self, tmp_path, capsys):
+        # A constant third power fails its fit before an unreadable fifth
+        # power is reported, although every power is read before any is fitted.
+        manifest_path, _ = simulate(tmp_path, KERR_CONFIG)
+        entries = parse_manifest(manifest_path).entries
+        path, power_dbm = entries[2]
+        trace = parse_csv_trace(path)
+        write_csv_trace(dataclasses.replace(trace, s21=np.full(len(trace), 0.5 + 0.5j)), path)
+        os.remove(entries[4][0])
+        assert run(["extract-kerr", manifest_path]) == 3
+        err = capsys.readouterr().err
+        assert (f"analysis error: SingularJacobianError: power {power_dbm:g} dBm failed: "
+                "trace is constant") in err
+        assert "input error" not in err
+
+    def test_mixed_point_counts_fit_like_single_traces(self, tmp_path):
+        manifest_path, _ = simulate(tmp_path, KERR_CONFIG)
+        manifest = parse_manifest(manifest_path)
+        # The fourth power on every other point of its grid: 201 points.
+        path = manifest.entries[3][0]
+        trace = parse_csv_trace(path)
+        write_csv_trace(dataclasses.replace(trace, freqs=trace.freqs[::2],
+                                            s21=trace.s21[::2]), path)
+        out = tmp_path / "kerr.json"
+        assert run(["extract-kerr", manifest_path, "--out", out,
+                    "--plot-table", tmp_path / "slope.csv"]) == 0
+        reports, _ = read_report(out)
+        assert [r.n_points for r in reports] == [401, 401, 401, 201, 401, 401]
+        traces = [parse_csv_trace(path) for path, _ in manifest.entries]
+        anchor = hangerfit.fit_linear(traces[0]).params
+        for report, trace, (_, power_dbm) in zip(reports, traces, manifest.entries):
+            flux = hangerfit.input_photon_flux(
+                hangerfit.dbm_to_watts(power_dbm - manifest.attenuation), anchor.resonant_freq)
+            alone = hangerfit.fit_nonlinear(
+                trace, hangerfit.seed_nonlinear_guess(trace, anchor, flux), "sweep_up")
+            assert report.params == alone.params
+            assert report.std_errors == alone.std_errors
+            assert report.converged == alone.converged
+
     def test_all_linear_sweep_is_analysis_error(self, tmp_path, capsys):
         config = dict(KERR_CONFIG, kerr_hz=0.0, two_photon_hz=0.0,
                       instrument_powers_dbm=list(np.linspace(-90.0, -80.0, 5)))

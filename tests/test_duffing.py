@@ -1,5 +1,7 @@
 """Duffing core: cubic roots vs oracles, line shape, fits, extraction."""
 
+import dataclasses
+import functools
 import math
 import warnings
 
@@ -10,7 +12,9 @@ from hangerfit import (
     BifurcationUnstableError,
     BranchPolicy,
     FrequencyTrace,
+    HangerFitError,
     InsufficientPowersError,
+    InternalConsistencyError,
     LinearParams,
     NonlinearParams,
     ParameterError,
@@ -33,6 +37,7 @@ from hangerfit.duffing import (
     _nl_vector,
     _nonlinear_line_shape,
     branch_jump_indices,
+    fit_nonlinear_stack,
     positive_cubic_roots,
 )
 from hangerfit.linearfit import (
@@ -54,6 +59,7 @@ from conftest import (
     fit_circle,
     oracle_root_count,
     record_costs,
+    record_counts,
     record_solves,
     single_jacobian,
 )
@@ -390,11 +396,11 @@ class TestFitNonlinear:
         truth, trace = self.synthesize_case(-0.3, 0.1, 0.01, seed=3)
         guess = seed_nonlinear_guess(trace, truth.linear, truth.drive_flux)
         cubic_solves = []
-        select = duffing.selected_photon_numbers
+        roots = duffing._cubic_roots
 
-        def counting_select(*args):
+        def counting_roots(*args):
             cubic_solves.append(args)
-            return select(*args)
+            return roots(*args)
 
         evaluations, jacobians = [], []
         solve = linearfit._solve
@@ -410,13 +416,26 @@ class TestFitNonlinear:
                 return r, counted_jacobian
             return solve(counted, *args)
 
-        monkeypatch.setattr(duffing, "selected_photon_numbers", counting_select)
+        monkeypatch.setattr(duffing, "_cubic_roots", counting_roots)
         monkeypatch.setattr(linearfit, "_solve", counting_solve)
         report = fit_nonlinear(trace, guess, "sweep_up")
         assert report.converged
         assert len(jacobians) >= 2
         # One solve per evaluation; the branch check reuses the solution's.
         assert len(cubic_solves) == len(evaluations)
+
+        # A stack of three: one solve per stacked evaluation, over the grids
+        # of every problem it evaluates.
+        cases = [self.synthesize_case(xi, 0.1, 0.01, seed=seed)
+                 for xi, seed in ((-0.3, 3), (-0.2, 4), (-0.1, 5))]
+        guesses = [seed_nonlinear_guess(trace, truth.linear, truth.drive_flux)
+                   for truth, trace in cases]
+        del cubic_solves[:], evaluations[:]
+        reports = fit_nonlinear_stack([trace for _, trace in cases], guesses)
+        assert all(report.converged for report in reports)
+        assert max(len(x) for x in evaluations) == 3
+        assert len(cubic_solves) == len(evaluations)
+        assert [args[1].size for args in cubic_solves] == [len(x) * 501 for x in evaluations]
 
     def test_solve_stops_at_the_rounding_floor(self, monkeypatch):
         # A 50 ns delay puts phases of ~1600 rad into the model's exp.
@@ -467,6 +486,108 @@ class TestFitNonlinear:
         report = fit_nonlinear(trace, guess, "sweep_up")
         assert "bifurcated" in report.diagnostics
         assert report.details["max_photon_number"] > 0
+
+
+class TestStackedNonlinear:
+    """One stacked nonlinear solve gives each problem exactly the fit, and
+    the error, it gets alone."""
+
+    BIFURCATED, ZERO_TWO_PHOTON, UNSTABLE, CONSTANT = 2, 3, 4, 5
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        # One point count, so every trace but the constant one is in one solve.
+        case = functools.partial(TestFitNonlinear().synthesize_case, n_points=61)
+
+        def seeded(truth, trace):
+            return trace, seed_nonlinear_guess(trace, truth.linear, truth.drive_flux)
+
+        def at_truth(truth, trace):
+            return trace, dataclasses.replace(truth, two_photon=0.0)
+
+        lin = make_linear()
+        freqs = np.linspace(lin.resonant_freq * (1 - 1e-3), lin.resonant_freq * (1 + 1e-3), 61)
+        return [
+            seeded(*case(-0.3, 0.0, 0.01, seed=3)),     # Kerr only
+            seeded(*case(-0.3, 0.1, 0.01, seed=0)),     # Kerr and two-photon loss
+            at_truth(*case(-0.8, 0.0, 0.002, seed=0)),  # bifurcated
+            seeded(*case(-0.05, 0.0, 0.01, seed=0)),    # ends at two_photon = 0
+            at_truth(*case(-0.4, 0.0, 0.0, seed=1)),    # branch jumps at the solution
+            (FrequencyTrace(freqs=freqs, s21=np.full(61, 0.5 + 0.5j)),
+             NonlinearParams(linear=lin, kerr=-1.5e3, two_photon=0.0, drive_flux=1e12)),
+        ]
+
+    @staticmethod
+    def fit_alone(trace, guess):
+        try:
+            return fit_nonlinear(trace, guess)
+        except HangerFitError as exc:
+            return exc
+
+    @staticmethod
+    def assert_same(result, alone):
+        if isinstance(alone, HangerFitError):
+            assert type(result) is type(alone) and result.args == alone.args
+        else:
+            assert result == alone
+
+    def test_each_problem_matches_its_fit_alone(self, problems, monkeypatch):
+        costs = record_costs(monkeypatch, linearfit)
+        counts = record_counts(monkeypatch, linearfit)
+        traces, guesses = (list(column) for column in zip(*problems))
+        stacked = fit_nonlinear_stack(traces, guesses)
+        # One solve, of every problem but the constant trace.
+        assert len(costs) == len(counts) == len(problems) - 1
+        stacked_costs, stacked_counts = costs[:], counts[:]
+
+        assert "bifurcated" in stacked[self.BIFURCATED].diagnostics
+        assert stacked[self.ZERO_TWO_PHOTON].params.two_photon == 0.0
+        assert 0.0 < stacked[1].params.two_photon
+        assert isinstance(stacked[self.UNSTABLE], BifurcationUnstableError)
+        assert isinstance(stacked[self.CONSTANT], SingularJacobianError)
+        for i, (trace, guess) in enumerate(problems):
+            del costs[:], counts[:]
+            self.assert_same(stacked[i], self.fit_alone(trace, guess))
+            if i == self.CONSTANT:
+                assert costs == counts == []
+            else:
+                assert costs == [stacked_costs[i]] and counts == [stacked_counts[i]]
+
+    def test_reversed_stack_gives_the_same_results(self, problems, monkeypatch):
+        costs = record_costs(monkeypatch, linearfit)
+        traces, guesses = (list(column) for column in zip(*problems))
+        stacked = fit_nonlinear_stack(traces, guesses)
+        forward = costs[:]
+        del costs[:]
+        backward = fit_nonlinear_stack(traces[::-1], guesses[::-1])
+        for result, alone in zip(backward[::-1], stacked):
+            self.assert_same(result, alone)
+        assert costs[::-1] == forward
+
+    def test_an_evaluation_error_stays_with_its_problem(self, problems, monkeypatch):
+        # The fourth evaluation finds no root at one point of its first
+        # problem: alone, that evaluation raises; in a stack, that problem
+        # gets the same error and the other problem its fit alone.
+        (trace, guess), other = problems[0], problems[1]
+        other_alone = fit_nonlinear(*other)
+        roots_of = duffing._cubic_roots
+        calls = []
+
+        def no_root_at_fourth_call(c3, c2, c1):
+            roots, counts = roots_of(c3, c2, c1)
+            calls.append(None)
+            if len(calls) == 4:
+                roots[0, 0], counts[0, 0] = np.nan, 0
+            return roots, counts
+
+        monkeypatch.setattr(duffing, "_cubic_roots", no_root_at_fourth_call)
+        with pytest.raises(InternalConsistencyError) as alone:
+            fit_nonlinear(trace, guess)
+        del calls[:]
+        stacked = fit_nonlinear_stack([trace, other[0]], [guess, other[1]])
+        assert type(stacked[0]) is InternalConsistencyError
+        assert stacked[0].args == alone.value.args
+        assert stacked[1] == other_alone
 
 
 class TestExtraction:
